@@ -1,6 +1,5 @@
 // bskybench measures the repo's disk and wire hot paths — block
-// decode, collector ingest, shipped partition bytes — at every disk
-// format and writes one BENCH_<date>.json trajectory point. CI runs
+// decode, collector ingest, shipped partition bytes — and writes one BENCH_<date>.json trajectory point. CI runs
 // it on each push and uploads the JSON as an artifact, so the decode
 // throughput and shipped-bytes trajectory is machine-readable across
 // the project's history; a baseline point is checked in at the repo
@@ -205,8 +204,8 @@ func checkBaseline(path string, results []Result) error {
 }
 
 // defaultMeasures runs the disk and wire suite — decode, ingest,
-// ship-bytes at each format version, then the elastic-scheduler
-// regimes — over one generated corpus.
+// ship-bytes, then the elastic-scheduler regimes — over one generated
+// corpus.
 func defaultMeasures(scaleN int, seedN int64, repsN int) []Result {
 	ds := synth.Generate(synth.Config{Scale: scaleN, Seed: seedN})
 	parts, m := core.Split(ds, 1)
@@ -219,48 +218,49 @@ func defaultMeasures(scaleN int, seedN int64, repsN int) []Result {
 	}
 	defer os.RemoveAll(tmp)
 
-	var results []Result
-	for version := 1; version <= core.DiskFormatVersion; version++ {
-		dir := filepath.Join(tmp, fmt.Sprintf("v%d", version))
-		if err := core.WriteCorpusVersion(dir, parts, m, version); err != nil {
-			log.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, core.PartitionFileName(0)))
-		if err != nil {
-			log.Fatal(err)
-		}
-		mb := float64(len(data)) / (1 << 20)
-
-		nsOp, peak := measure(repsN, func() { drain(data, records) })
-		results = append(results, Result{
-			Name:       fmt.Sprintf("decode/v%d", version),
-			NsOp:       nsOp,
-			MBPerS:     mb / (float64(nsOp) / 1e9),
-			Bytes:      len(data),
-			PeakHeapMB: peak,
-		})
-
-		nsOp, peak = measure(repsN, func() { ingest(data, info, records) })
-		results = append(results, Result{
-			Name:        fmt.Sprintf("ingest/v%d", version),
-			NsOp:        nsOp,
-			RecordsPerS: float64(records) / (float64(nsOp) / 1e9),
-			Bytes:       len(data),
-			PeakHeapMB:  peak,
-		})
-
-		// The shipped form is the partition file after the scheduler's
-		// ship-time compression pass — a no-op below v3, per-frame LZ
-		// above — so its size is the per-partition wire cost.
-		shipped, err := core.CompressPartitionBlocks(data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		results = append(results, Result{
-			Name:  fmt.Sprintf("ship-bytes/v%d", version),
-			Bytes: len(shipped),
-		})
+	dir := filepath.Join(tmp, "store")
+	if err := core.WriteCorpus(dir, parts, m); err != nil {
+		log.Fatal(err)
 	}
+	data, err := os.ReadFile(filepath.Join(dir, core.PartitionFileName(0)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	mb := float64(len(data)) / (1 << 20)
+	// Point names keep the format suffix so trajectories stay
+	// comparable with the checked-in history.
+	v := fmt.Sprintf("v%d", core.DiskFormatVersion)
+
+	var results []Result
+	nsOp, peak := measure(repsN, func() { drain(data, records) })
+	results = append(results, Result{
+		Name:       "decode/" + v,
+		NsOp:       nsOp,
+		MBPerS:     mb / (float64(nsOp) / 1e9),
+		Bytes:      len(data),
+		PeakHeapMB: peak,
+	})
+
+	nsOp, peak = measure(repsN, func() { ingest(data, info, records) })
+	results = append(results, Result{
+		Name:        "ingest/" + v,
+		NsOp:        nsOp,
+		RecordsPerS: float64(records) / (float64(nsOp) / 1e9),
+		Bytes:       len(data),
+		PeakHeapMB:  peak,
+	})
+
+	// The shipped form is the partition file after the scheduler's
+	// ship-time per-frame LZ pass, so its size is the per-partition
+	// wire cost.
+	shipped, err := core.CompressPartitionBlocks(data)
+	if err != nil {
+		log.Fatal(err)
+	}
+	results = append(results, Result{
+		Name:  "ship-bytes/" + v,
+		Bytes: len(shipped),
+	})
 
 	return append(results, remoteMeasures(ds, tmp)...)
 }

@@ -145,49 +145,46 @@ func BenchmarkDiskEvaluation(b *testing.B) {
 	})
 }
 
-// BenchmarkBlockDecode prices raw partition-block decode at both disk
-// formats over the same in-memory byte stream — the line-rate number
-// the columnar v2 codec exists for. Each sub-benchmark drains a full
-// PartitionReader per iteration and reports MB/s of encoded input
-// plus the encoded size, so the v2/v1 throughput multiple and the
-// size ratio read straight off the output.
+// BenchmarkBlockDecode prices raw partition-block decode over an
+// in-memory byte stream — the line rate of the columnar codec. Each
+// iteration drains a full PartitionReader; the output reports MB/s of
+// encoded input plus the encoded size. The sub-benchmark is named
+// after the disk format, so result history stays comparable.
 func BenchmarkBlockDecode(b *testing.B) {
 	ds := synth.Generate(synth.Config{Scale: 2000, Seed: 1})
 	parts, m := core.Split(ds, 1)
-	for _, version := range []int{1, core.DiskFormatVersion} {
-		dir := b.TempDir()
-		if err := core.WriteCorpusVersion(dir, parts, m, version); err != nil {
-			b.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, core.PartitionFileName(0)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			records := 0
-			for i := 0; i < b.N; i++ {
-				pr, err := core.NewPartitionReader(bytes.NewReader(data))
+	dir := b.TempDir()
+	if err := core.WriteCorpus(dir, parts, m); err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, core.PartitionFileName(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("v%d", core.DiskFormatVersion), func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		records := 0
+		for i := 0; i < b.N; i++ {
+			pr, err := core.NewPartitionReader(bytes.NewReader(data))
+			if err != nil {
+				b.Fatal(err)
+			}
+			records = 0
+			for {
+				blk, err := pr.Next()
+				if err == io.EOF {
+					break
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				records = 0
-				for {
-					blk, err := pr.Next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					records += len(blk.Users) + len(blk.Posts) + len(blk.Days) +
-						len(blk.Labels) + len(blk.FeedGens) + len(blk.Domains) + len(blk.HandleUpdates)
-				}
+				records += len(blk.Users) + len(blk.Posts) + len(blk.Days) +
+					len(blk.Labels) + len(blk.FeedGens) + len(blk.Domains) + len(blk.HandleUpdates)
 			}
-			if records != ds.Counts().Total() {
-				b.Fatalf("decoded %d records, want %d", records, ds.Counts().Total())
-			}
-			b.ReportMetric(float64(len(data))/(1<<20), "encoded-MB")
-		})
-	}
+		}
+		if records != ds.Counts().Total() {
+			b.Fatalf("decoded %d records, want %d", records, ds.Counts().Total())
+		}
+		b.ReportMetric(float64(len(data))/(1<<20), "encoded-MB")
+	})
 }

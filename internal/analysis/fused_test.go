@@ -10,47 +10,44 @@ import (
 // TestBuildLabelMetaFusedParity pins the zero-rehash contract at the
 // unit level: folding a decoded block's dictionary view into fresh
 // intern tables must produce byte-identical metadata AND tables to the
-// per-record path — same ids, same first-occurrence order — for both
-// dictionary-carrying codecs (v2 and v3).
+// per-record path — same ids, same first-occurrence order.
 func TestBuildLabelMetaFusedParity(t *testing.T) {
 	didIdx := ds.LabelerIndex()
-	for _, version := range []int{2, 3} {
-		src := &core.RecordBlock{Labelers: ds.Labelers, Labels: ds.Labels}
-		enc, err := core.MarshalBlockVersion(src, version)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		dec, db, err := core.UnmarshalBlockDict(enc, true)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		if db == nil || len(db.LabelSrc) != len(dec.Labels) {
-			t.Fatalf("v%d: no parallel dictionary view (%d ids, %d labels)", version, len(db.LabelSrc), len(dec.Labels))
-		}
-		plainT := newLabelTables()
-		want := buildLabelMeta(ds.Labelers, dec.Labels, nil, plainT, didIdx)
-		fusedT := newLabelTables()
-		got := buildLabelMetaFused(ds.Labelers, dec.Labels, db, nil, fusedT, didIdx)
-		if !reflect.DeepEqual(got, want) {
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("v%d: label %d meta drifted:\n got %+v\nwant %+v", version, i, got[i], want[i])
-				}
+	src := &core.RecordBlock{Labelers: ds.Labelers, Labels: ds.Labels}
+	enc, err := core.MarshalBlock(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, db, err := core.UnmarshalBlockDict(enc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db == nil || len(db.LabelSrc) != len(dec.Labels) {
+		t.Fatalf("no parallel dictionary view (%d ids, %d labels)", len(db.LabelSrc), len(dec.Labels))
+	}
+	plainT := newLabelTables()
+	want := buildLabelMeta(ds.Labelers, dec.Labels, nil, plainT, didIdx)
+	fusedT := newLabelTables()
+	got := buildLabelMetaFused(ds.Labelers, dec.Labels, db, nil, fusedT, didIdx)
+	if !reflect.DeepEqual(got, want) {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("label %d meta drifted:\n got %+v\nwant %+v", i, got[i], want[i])
 			}
-			t.Fatalf("v%d: meta drifted", version)
 		}
-		if !reflect.DeepEqual(fusedT.URIs, plainT.URIs) ||
-			!reflect.DeepEqual(fusedT.Vals, plainT.Vals) ||
-			!reflect.DeepEqual(fusedT.ExtraSrcs, plainT.ExtraSrcs) {
-			t.Fatalf("v%d: fused intern tables drifted (vals %d/%d, uris %d/%d, extras %d/%d)",
-				version, len(fusedT.Vals), len(plainT.Vals), len(fusedT.URIs), len(plainT.URIs),
-				len(fusedT.ExtraSrcs), len(plainT.ExtraSrcs))
-		}
+		t.Fatal("meta drifted")
+	}
+	if !reflect.DeepEqual(fusedT.URIs, plainT.URIs) ||
+		!reflect.DeepEqual(fusedT.Vals, plainT.Vals) ||
+		!reflect.DeepEqual(fusedT.ExtraSrcs, plainT.ExtraSrcs) {
+		t.Fatalf("fused intern tables drifted (vals %d/%d, uris %d/%d, extras %d/%d)",
+			len(fusedT.Vals), len(plainT.Vals), len(fusedT.URIs), len(plainT.URIs),
+			len(fusedT.ExtraSrcs), len(plainT.ExtraSrcs))
 	}
 }
 
-// TestFusedIngestParityGolden drives the whole fused path — spill at
-// the current (fixed-width v3) format, stream back through NextDict +
+// TestFusedIngestParityGolden drives the whole fused path — spill,
+// stream back through NextDict +
 // applyColumnar — against the in-memory golden for n ∈ {1,2,4,8}
 // partitions at several worker counts. It complements
 // TestDiskParityGolden by pinning that the dictionary view is actually
@@ -61,7 +58,7 @@ func TestFusedIngestParityGolden(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		parts, m := core.Split(ds, n)
 		dir := t.TempDir()
-		if err := core.WriteCorpusVersion(dir, parts, m, core.DiskFormatVersion); err != nil {
+		if err := core.WriteCorpus(dir, parts, m); err != nil {
 			t.Fatalf("n=%d: spill: %v", n, err)
 		}
 		c, err := core.OpenCorpus(dir)

@@ -95,19 +95,10 @@ func (e *Engine) Fingerprint() []string { return accFingerprint(e.accs) }
 // must be in accs registration order. The encoding is deterministic:
 // identical state yields identical bytes.
 func MarshalPartitionState(accs []Accumulator, w *World, shards []Shard, t *LabelTables) ([]byte, error) {
-	return MarshalPartitionStateFormat(accs, w, shards, t, core.DiskFormatVersion)
-}
-
-// MarshalPartitionStateFormat is MarshalPartitionState with the
-// embedded world block encoded at an explicit block format — a worker
-// answering a scheduler that only decodes older block formats encodes
-// at the negotiated version (sched's EvalRequest.MaxFormat), so new
-// workers stay readable by old schedulers.
-func MarshalPartitionStateFormat(accs []Accumulator, w *World, shards []Shard, t *LabelTables, blockFormat int) ([]byte, error) {
 	if len(shards) != len(accs) {
 		return nil, fmt.Errorf("analysis: %d shards for %d accumulators", len(shards), len(accs))
 	}
-	block, err := core.MarshalBlockVersion(&core.RecordBlock{
+	block, err := core.MarshalBlock(&core.RecordBlock{
 		Header: &core.StreamHeader{
 			Scale:         w.Scale,
 			WindowStart:   w.WindowStart,
@@ -116,7 +107,7 @@ func MarshalPartitionStateFormat(accs []Accumulator, w *World, shards []Shard, t
 			NonBskyEvents: w.NonBskyEvents,
 		},
 		Labelers: w.Labelers,
-	}, blockFormat)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("analysis: encode world block: %w", err)
 	}
@@ -285,17 +276,11 @@ func (s *StateSource) Run(accs []Accumulator, _ int, _ RenderFunc) (*World, []Sh
 // engine's worker setting) and returns the serialized partition state —
 // the remote worker's whole job.
 func (e *Engine) Snapshot(src Source) ([]byte, error) {
-	return e.SnapshotFormat(src, core.DiskFormatVersion)
-}
-
-// SnapshotFormat is Snapshot with the embedded world block encoded at
-// an explicit block format (see MarshalPartitionStateFormat).
-func (e *Engine) SnapshotFormat(src Source, blockFormat int) ([]byte, error) {
 	world, shards, tables, err := src.Run(e.accs, e.workers, nil)
 	if err != nil {
 		return nil, err
 	}
-	return MarshalPartitionStateFormat(e.accs, world, shards, tables, blockFormat)
+	return MarshalPartitionState(e.accs, world, shards, tables)
 }
 
 // RunLevelOne runs the engine's level-one traversal over src and

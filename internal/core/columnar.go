@@ -8,15 +8,14 @@ import (
 	"time"
 )
 
-// This file implements the v2 columnar block encoding (DESIGN.md §11).
-// A v1 disk frame carries one row-oriented CBOR map per record; decode
-// cost — map-key dispatch plus one small allocation per record — is
-// what dominates the out-of-core and ship-blocks hot paths. The v2
-// encoding turns a RecordBlock into per-column arrays instead:
+// This file implements the columnar block encoding (DESIGN.md §11),
+// the payload of every disk frame, #sim.block event and MarshalBlock
+// call. A RecordBlock travels as per-column arrays rather than rows:
 //
-//	byte    codec tag (blockCodecColumnar)
-//	uvarint dictionary entry count
-//	entries uvarint length | bytes, id = position (first-use order)
+//	byte    codec tag (blockCodecColumnar3)
+//	uvarint dictionary entry count; when non-zero, the dictionary:
+//	        uvarint total bytes, per-entry uvarint lengths, bytes
+//	        (id = position, assigned in first-use order)
 //	byte    header presence (0 or 1), then the header scalars
 //	per collection: uvarint row count, then whole columns in
 //	    struct-field order
@@ -27,24 +26,52 @@ import (
 //     platforms, registrars …) are dictionary ids — the same interning
 //     discipline as the engine's URI/Val/Src tables, applied on the
 //     wire: each distinct string is decoded exactly once per block;
-//   - unique strings (DIDs, URIs, handles, names) are inline
-//     length-prefixed bytes;
-//   - timestamps and index-like ints (AuthorIdx, CreatorIdx) are
-//     zigzag-varint deltas against the previous row — generated
-//     corpora are time-sorted, so deltas are small;
+//   - unique strings (DIDs, URIs, handles, names) are block-coded: one
+//     uvarint total, the per-row lengths, then all bytes concatenated.
+//     The decoder performs one string conversion per column and slices
+//     row values out of it, so decode pays no allocation per row;
+//   - timestamps and index-like ints (CreatedAt, Applied, AuthorIdx,
+//     CreatorIdx …) are fixed-width 8-byte little-endian deltas against
+//     the previous row, bulk-loaded without per-row varint branching.
+//     Generated corpora are time-sorted, so the deltas are small and
+//     compress well;
 //   - other ints are zigzag varints, booleans pack 8-per-byte into
 //     bitsets, float64s are raw big-endian bits.
 //
+// A frame may additionally carry the blockCodecLZ bit (see lz.go and
+// diskstore.go): tag|0x40, uvarint raw length, LZ stream.
+//
 // Determinism: dictionary ids are assigned in first-use order and map
 // columns (ActiveByLang) sort their keys, so encoding is a pure
-// function of the block — byte-identical across runs, which the spill
-// goldens rely on.
+// function of the block — byte-identical across runs, which the
+// content-hash cache keys and spill goldens rely on.
 //
 // Hostile-input discipline mirrors the cbor decoder: every count is
 // bounded by the bytes that remain (a row/entry always costs at least
 // its per-row floor), dictionary ids are range-checked, and the
 // decoder fails loudly on trailing bytes — a lying count can never
 // force a large allocation or a panic.
+//
+// Decode can also surface the block's dictionary view (DictBlock) so
+// analysis can fold the dictionary into its intern tables once per
+// block instead of re-hashing every row — see PartitionReader.NextDict
+// and streamIngest.applyColumnar.
+
+// DictBlock is the dictionary view of a decoded columnar block: the
+// first-use-ordered string dictionary plus, for the collections that
+// feed the engine's intern tables, the raw per-row dictionary ids.
+// Ids index Dict and are only meaningful alongside the RecordBlock
+// decoded from the same frame (columns are parallel to its slices).
+//
+//wire:v3 fields=4
+type DictBlock struct {
+	Dict []string
+
+	// Per-label dictionary ids, parallel to RecordBlock.Labels.
+	LabelSrc  []uint32
+	LabelVal  []uint32
+	LabelKind []uint32
+}
 
 // colEnc accumulates the column body and the string dictionary.
 type colEnc struct {
@@ -55,12 +82,6 @@ type colEnc struct {
 
 func (e *colEnc) uv(v uint64) { e.body = binary.AppendUvarint(e.body, v) }
 func (e *colEnc) sv(v int64)  { e.body = binary.AppendVarint(e.body, v) }
-
-// str writes an inline length-prefixed string (unique-string columns).
-func (e *colEnc) str(s string) {
-	e.uv(uint64(len(s)))
-	e.body = append(e.body, s...)
-}
 
 // dictStr writes s as a dictionary id, interning on first use.
 func (e *colEnc) dictStr(s string) {
@@ -79,26 +100,6 @@ func (e *colEnc) f64(v float64) {
 	e.body = append(e.body, b[:]...)
 }
 
-// times delta-encodes a timestamp column (UnixNano, zero time = 0).
-func (e *colEnc) times(n int, at func(int) time.Time) {
-	var prev int64
-	for i := 0; i < n; i++ {
-		v := nsOf(at(i))
-		e.sv(v - prev)
-		prev = v
-	}
-}
-
-// deltas delta-encodes an int column (sequence-like indexes).
-func (e *colEnc) deltas(n int, at func(int) int) {
-	var prev int64
-	for i := 0; i < n; i++ {
-		v := int64(at(i))
-		e.sv(v - prev)
-		prev = v
-	}
-}
-
 // bits packs a bool column into a bitset, 8 rows per byte, LSB first.
 func (e *colEnc) bits(n int, at func(int) bool) {
 	for base := 0; base < n; base += 8 {
@@ -112,9 +113,37 @@ func (e *colEnc) bits(n int, at func(int) bool) {
 	}
 }
 
-// encodeColumnarBlock encodes b as a tagged v2 columnar payload — the
-// bytes a v2 disk frame, #sim.block event, or MarshalBlock carries.
-func encodeColumnarBlock(b *RecordBlock) []byte {
+// strs writes a block-coded string column: total, lengths, bytes.
+func (e *colEnc) strs(n int, at func(int) string) {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(at(i))
+	}
+	e.uv(uint64(total))
+	for i := 0; i < n; i++ {
+		e.uv(uint64(len(at(i))))
+	}
+	for i := 0; i < n; i++ {
+		e.body = append(e.body, at(i)...)
+	}
+}
+
+// fixed writes an int64 column as 8-byte little-endian deltas.
+func (e *colEnc) fixed(n int, at func(int) int64) {
+	var prev int64
+	for i := 0; i < n; i++ {
+		v := at(i)
+		e.body = binary.LittleEndian.AppendUint64(e.body, uint64(v-prev))
+		prev = v
+	}
+}
+
+func (e *colEnc) ftimes(n int, at func(int) time.Time) {
+	e.fixed(n, func(i int) int64 { return nsOf(at(i)) })
+}
+
+// encodeBlock encodes b as a tagged columnar payload.
+func encodeBlock(b *RecordBlock) []byte {
 	e := &colEnc{ids: make(map[string]uint64, 64)}
 	e.header(b.Header)
 	e.labelers(b.Labelers)
@@ -130,12 +159,21 @@ func encodeColumnarBlock(b *RecordBlock) []byte {
 	for _, s := range e.dict {
 		dictBytes += binary.MaxVarintLen64 + len(s)
 	}
-	out := make([]byte, 0, 1+binary.MaxVarintLen64+dictBytes+len(e.body))
-	out = append(out, blockCodecColumnar)
+	out := make([]byte, 0, 1+2*binary.MaxVarintLen64+dictBytes+len(e.body))
+	out = append(out, blockCodecColumnar3)
 	out = binary.AppendUvarint(out, uint64(len(e.dict)))
-	for _, s := range e.dict {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
+	if len(e.dict) > 0 {
+		total := 0
+		for _, s := range e.dict {
+			total += len(s)
+		}
+		out = binary.AppendUvarint(out, uint64(total))
+		for _, s := range e.dict {
+			out = binary.AppendUvarint(out, uint64(len(s)))
+		}
+		for _, s := range e.dict {
+			out = append(out, s...)
+		}
 	}
 	return append(out, e.body...)
 }
@@ -161,35 +199,28 @@ func (e *colEnc) labelers(ls []Labeler) {
 	if len(ls) == 0 {
 		return
 	}
-	for i := range ls {
-		e.str(ls[i].DID)
-	}
-	for i := range ls {
-		e.str(ls[i].Name)
-	}
-	e.bits(len(ls), func(i int) bool { return ls[i].Official })
+	n := len(ls)
+	e.strs(n, func(i int) string { return ls[i].DID })
+	e.strs(n, func(i int) string { return ls[i].Name })
+	e.bits(n, func(i int) bool { return ls[i].Official })
 	for i := range ls {
 		e.uv(uint64(len(ls[i].Values)))
 		for _, v := range ls[i].Values {
 			e.dictStr(v)
 		}
 	}
-	e.times(len(ls), func(i int) time.Time { return ls[i].Announced })
-	e.bits(len(ls), func(i int) bool { return ls[i].Functional })
-	e.bits(len(ls), func(i int) bool { return ls[i].Active })
+	e.ftimes(n, func(i int) time.Time { return ls[i].Announced })
+	e.bits(n, func(i int) bool { return ls[i].Functional })
+	e.bits(n, func(i int) bool { return ls[i].Active })
 	for i := range ls {
 		e.dictStr(ls[i].Hosting)
 	}
-	e.bits(len(ls), func(i int) bool { return ls[i].Automated })
+	e.bits(n, func(i int) bool { return ls[i].Automated })
 	for i := range ls {
 		e.sv(int64(ls[i].Likes))
 	}
-	for i := range ls {
-		e.str(ls[i].Operator)
-	}
-	for i := range ls {
-		e.str(ls[i].About)
-	}
+	e.strs(n, func(i int) string { return ls[i].Operator })
+	e.strs(n, func(i int) string { return ls[i].About })
 }
 
 func (e *colEnc) users(us []User) {
@@ -197,12 +228,9 @@ func (e *colEnc) users(us []User) {
 	if len(us) == 0 {
 		return
 	}
-	for i := range us {
-		e.str(us[i].DID)
-	}
-	for i := range us {
-		e.str(us[i].Handle)
-	}
+	n := len(us)
+	e.strs(n, func(i int) string { return us[i].DID })
+	e.strs(n, func(i int) string { return us[i].Handle })
 	for i := range us {
 		e.dictStr(us[i].DIDMethod)
 	}
@@ -212,7 +240,7 @@ func (e *colEnc) users(us []User) {
 	for i := range us {
 		e.dictStr(string(us[i].Proof))
 	}
-	e.times(len(us), func(i int) time.Time { return us[i].CreatedAt })
+	e.ftimes(n, func(i int) time.Time { return us[i].CreatedAt })
 	for i := range us {
 		e.dictStr(us[i].Lang)
 	}
@@ -234,7 +262,7 @@ func (e *colEnc) users(us []User) {
 	for i := range us {
 		e.sv(int64(us[i].Blocks))
 	}
-	e.bits(len(us), func(i int) bool { return us[i].Deleted })
+	e.bits(n, func(i int) bool { return us[i].Deleted })
 }
 
 func (e *colEnc) posts(ps []Post) {
@@ -242,22 +270,21 @@ func (e *colEnc) posts(ps []Post) {
 	if len(ps) == 0 {
 		return
 	}
-	for i := range ps {
-		e.str(ps[i].URI)
-	}
-	e.deltas(len(ps), func(i int) int { return ps[i].AuthorIdx })
+	n := len(ps)
+	e.strs(n, func(i int) string { return ps[i].URI })
+	e.fixed(n, func(i int) int64 { return int64(ps[i].AuthorIdx) })
 	for i := range ps {
 		e.dictStr(ps[i].Lang)
 	}
-	e.times(len(ps), func(i int) time.Time { return ps[i].CreatedAt })
+	e.ftimes(n, func(i int) time.Time { return ps[i].CreatedAt })
 	for i := range ps {
 		e.sv(int64(ps[i].Likes))
 	}
 	for i := range ps {
 		e.sv(int64(ps[i].Reposts))
 	}
-	e.bits(len(ps), func(i int) bool { return ps[i].HasMedia })
-	e.bits(len(ps), func(i int) bool { return ps[i].AltText })
+	e.bits(n, func(i int) bool { return ps[i].HasMedia })
+	e.bits(n, func(i int) bool { return ps[i].AltText })
 }
 
 func (e *colEnc) days(ds []DayActivity) {
@@ -265,7 +292,8 @@ func (e *colEnc) days(ds []DayActivity) {
 	if len(ds) == 0 {
 		return
 	}
-	e.times(len(ds), func(i int) time.Time { return ds[i].Date })
+	n := len(ds)
+	e.ftimes(n, func(i int) time.Time { return ds[i].Date })
 	for i := range ds {
 		e.sv(int64(ds[i].ActiveUsers))
 	}
@@ -290,7 +318,7 @@ func (e *colEnc) days(ds []DayActivity) {
 }
 
 // langMap writes an ActiveByLang map column entry: count, then
-// key-sorted (dict id, svarint) pairs — shared by the v2 and v3 layouts.
+// key-sorted (dict id, svarint) pairs.
 func (e *colEnc) langMap(m map[string]int) {
 	e.uv(uint64(len(m)))
 	if len(m) == 0 {
@@ -312,22 +340,21 @@ func (e *colEnc) labels(ls []Label) {
 	if len(ls) == 0 {
 		return
 	}
+	n := len(ls)
 	for i := range ls {
 		e.dictStr(ls[i].Src)
 	}
-	for i := range ls {
-		e.str(ls[i].URI)
-	}
+	e.strs(n, func(i int) string { return ls[i].URI })
 	for i := range ls {
 		e.dictStr(ls[i].Val)
 	}
-	e.bits(len(ls), func(i int) bool { return ls[i].Neg })
+	e.bits(n, func(i int) bool { return ls[i].Neg })
 	for i := range ls {
 		e.dictStr(string(ls[i].Kind))
 	}
-	e.times(len(ls), func(i int) time.Time { return ls[i].Applied })
-	e.times(len(ls), func(i int) time.Time { return ls[i].SubjectCreated })
-	e.bits(len(ls), func(i int) bool { return ls[i].FreshSubject })
+	e.ftimes(n, func(i int) time.Time { return ls[i].Applied })
+	e.ftimes(n, func(i int) time.Time { return ls[i].SubjectCreated })
+	e.bits(n, func(i int) bool { return ls[i].FreshSubject })
 }
 
 func (e *colEnc) feedGens(fs []FeedGen) {
@@ -335,32 +362,27 @@ func (e *colEnc) feedGens(fs []FeedGen) {
 	if len(fs) == 0 {
 		return
 	}
-	for i := range fs {
-		e.str(fs[i].URI)
-	}
-	e.deltas(len(fs), func(i int) int { return fs[i].CreatorIdx })
+	n := len(fs)
+	e.strs(n, func(i int) string { return fs[i].URI })
+	e.fixed(n, func(i int) int64 { return int64(fs[i].CreatorIdx) })
 	for i := range fs {
 		e.dictStr(fs[i].Platform)
 	}
-	for i := range fs {
-		e.str(fs[i].DisplayName)
-	}
-	for i := range fs {
-		e.str(fs[i].Description)
-	}
+	e.strs(n, func(i int) string { return fs[i].DisplayName })
+	e.strs(n, func(i int) string { return fs[i].Description })
 	for i := range fs {
 		e.dictStr(fs[i].Lang)
 	}
-	e.times(len(fs), func(i int) time.Time { return fs[i].CreatedAt })
+	e.ftimes(n, func(i int) time.Time { return fs[i].CreatedAt })
 	for i := range fs {
 		e.sv(int64(fs[i].Likes))
 	}
 	for i := range fs {
 		e.sv(int64(fs[i].Posts))
 	}
-	e.times(len(fs), func(i int) time.Time { return fs[i].LastPost })
-	e.bits(len(fs), func(i int) bool { return fs[i].Reachable })
-	e.bits(len(fs), func(i int) bool { return fs[i].Personalized })
+	e.ftimes(n, func(i int) time.Time { return fs[i].LastPost })
+	e.bits(n, func(i int) bool { return fs[i].Reachable })
+	e.bits(n, func(i int) bool { return fs[i].Personalized })
 	for i := range fs {
 		e.f64(fs[i].LabeledShare)
 	}
@@ -374,16 +396,15 @@ func (e *colEnc) domains(ds []Domain) {
 	if len(ds) == 0 {
 		return
 	}
-	for i := range ds {
-		e.str(ds[i].Name)
-	}
+	n := len(ds)
+	e.strs(n, func(i int) string { return ds[i].Name })
 	for i := range ds {
 		e.sv(int64(ds[i].IANAID))
 	}
 	for i := range ds {
 		e.dictStr(ds[i].RegistrarName)
 	}
-	e.bits(len(ds), func(i int) bool { return ds[i].CCTLD })
+	e.bits(n, func(i int) bool { return ds[i].CCTLD })
 	for i := range ds {
 		e.sv(int64(ds[i].TrancoRank))
 	}
@@ -397,13 +418,10 @@ func (e *colEnc) handleUpdates(hs []HandleUpdate) {
 	if len(hs) == 0 {
 		return
 	}
-	for i := range hs {
-		e.str(hs[i].DID)
-	}
-	for i := range hs {
-		e.str(hs[i].NewHandle)
-	}
-	e.times(len(hs), func(i int) time.Time { return hs[i].Time })
+	n := len(hs)
+	e.strs(n, func(i int) string { return hs[i].DID })
+	e.strs(n, func(i int) string { return hs[i].NewHandle })
+	e.ftimes(n, func(i int) time.Time { return hs[i].Time })
 }
 
 // Per-row byte floors for count bounding: a valid row always costs at
@@ -432,6 +450,7 @@ type colDec struct {
 	dict []string
 	db   *DictBlock // optional dictionary-view capture (NextDict path)
 	err  error
+	lens []uint32 // scratch for strs, reused across columns
 }
 
 func (d *colDec) fail(format string, args ...any) {
@@ -495,11 +514,6 @@ func (d *colDec) take(n int) []byte {
 	b := d.data[d.pos : d.pos+n]
 	d.pos += n
 	return b
-}
-
-func (d *colDec) str() string {
-	n := d.count(1)
-	return string(d.take(n))
 }
 
 func (d *colDec) dictStr() string {
@@ -568,16 +582,71 @@ func (d *colDec) bits(n int) bitset {
 	return bitset(b)
 }
 
-// decodeColumnarBlock decodes a v2 columnar payload (tag byte already
-// stripped) into a RecordBlock. When db is non-nil the dictionary view
-// is captured into it for intern-table fusion.
-func decodeColumnarBlock(data []byte, db *DictBlock) (*RecordBlock, error) {
+// strs decodes a block-coded string column with one string conversion;
+// row values are substrings of that single backing allocation.
+func (d *colDec) strs(n int) []string {
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	total := d.uv()
+	if d.err != nil {
+		return nil
+	}
+	if total > uint64(d.remaining()) {
+		d.fail("string column of %d bytes exceeds the %d remaining", total, d.remaining())
+		return nil
+	}
+	if cap(d.lens) < n {
+		d.lens = make([]uint32, n)
+	}
+	lens := d.lens[:n]
+	var sum uint64
+	for i := range lens {
+		l := d.uv()
+		if d.err != nil {
+			return nil
+		}
+		if l > total-sum {
+			d.fail("string column lengths exceed declared %d bytes", total)
+			return nil
+		}
+		lens[i] = uint32(l)
+		sum += l
+	}
+	if sum != total {
+		d.fail("string column lengths sum to %d, declared %d", sum, total)
+		return nil
+	}
+	raw := string(d.take(int(total)))
+	if d.err != nil {
+		return nil
+	}
+	out := make([]string, n)
+	off := 0
+	for i := range out {
+		end := off + int(lens[i])
+		out[i] = raw[off:end]
+		off = end
+	}
+	return out
+}
+
+// fixed returns the raw bytes of an n-row fixed-width delta column;
+// nil after a decode failure. Callers prefix-sum inline.
+func (d *colDec) fixed(n int) []byte {
+	if n > (maxBlockBytes-8)/8 {
+		d.fail("fixed column of %d rows out of range", n)
+		return nil
+	}
+	return d.take(8 * n)
+}
+
+// decodeBlock decodes a columnar payload (tag byte already
+// stripped). When db is non-nil the dictionary view is captured into it.
+func decodeBlock(data []byte, db *DictBlock) (*RecordBlock, error) {
 	d := &colDec{data: data, db: db}
 	if n := d.count(minDictEntry); n > 0 {
-		d.dict = make([]string, n)
-		for i := range d.dict {
-			d.dict[i] = d.str()
-		}
+		d.dict = d.strs(n)
 	}
 	b := &RecordBlock{}
 	b.Header = d.header()
@@ -632,11 +701,11 @@ func (d *colDec) labelersCol() []Labeler {
 		return nil
 	}
 	ls := make([]Labeler, n)
-	for i := range ls {
-		ls[i].DID = d.str()
+	for i, s := range d.strs(n) {
+		ls[i].DID = s
 	}
-	for i := range ls {
-		ls[i].Name = d.str()
+	for i, s := range d.strs(n) {
+		ls[i].Name = s
 	}
 	bs := d.bits(n)
 	for i := range ls {
@@ -650,10 +719,12 @@ func (d *colDec) labelersCol() []Labeler {
 			}
 		}
 	}
-	var prev int64
-	for i := range ls {
-		prev += d.sv()
-		ls[i].Announced = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range ls {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			ls[i].Announced = timeOf(prev)
+		}
 	}
 	bs = d.bits(n)
 	for i := range ls {
@@ -673,11 +744,11 @@ func (d *colDec) labelersCol() []Labeler {
 	for i := range ls {
 		ls[i].Likes = int(d.sv())
 	}
-	for i := range ls {
-		ls[i].Operator = d.str()
+	for i, s := range d.strs(n) {
+		ls[i].Operator = s
 	}
-	for i := range ls {
-		ls[i].About = d.str()
+	for i, s := range d.strs(n) {
+		ls[i].About = s
 	}
 	return ls
 }
@@ -688,11 +759,11 @@ func (d *colDec) usersCol() []User {
 		return nil
 	}
 	us := make([]User, n)
-	for i := range us {
-		us[i].DID = d.str()
+	for i, s := range d.strs(n) {
+		us[i].DID = s
 	}
-	for i := range us {
-		us[i].Handle = d.str()
+	for i, s := range d.strs(n) {
+		us[i].Handle = s
 	}
 	for i := range us {
 		us[i].DIDMethod = d.dictStr()
@@ -703,10 +774,12 @@ func (d *colDec) usersCol() []User {
 	for i := range us {
 		us[i].Proof = ProofMethod(d.dictStr())
 	}
-	var prev int64
-	for i := range us {
-		prev += d.sv()
-		us[i].CreatedAt = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range us {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			us[i].CreatedAt = timeOf(prev)
+		}
 	}
 	for i := range us {
 		us[i].Lang = d.dictStr()
@@ -742,21 +815,25 @@ func (d *colDec) postsCol() []Post {
 		return nil
 	}
 	ps := make([]Post, n)
-	for i := range ps {
-		ps[i].URI = d.str()
+	for i, s := range d.strs(n) {
+		ps[i].URI = s
 	}
-	var prev int64
-	for i := range ps {
-		prev += d.sv()
-		ps[i].AuthorIdx = int(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range ps {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			ps[i].AuthorIdx = int(prev)
+		}
 	}
 	for i := range ps {
 		ps[i].Lang = d.dictStr()
 	}
-	prev = 0
-	for i := range ps {
-		prev += d.sv()
-		ps[i].CreatedAt = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range ps {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			ps[i].CreatedAt = timeOf(prev)
+		}
 	}
 	for i := range ps {
 		ps[i].Likes = int(d.sv())
@@ -781,10 +858,12 @@ func (d *colDec) daysCol() []DayActivity {
 		return nil
 	}
 	ds := make([]DayActivity, n)
-	var prev int64
-	for i := range ds {
-		prev += d.sv()
-		ds[i].Date = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range ds {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			ds[i].Date = timeOf(prev)
+		}
 	}
 	for i := range ds {
 		ds[i].ActiveUsers = int(d.sv())
@@ -813,8 +892,7 @@ func (d *colDec) daysCol() []DayActivity {
 	return ds
 }
 
-// langMap reads back one ActiveByLang map column entry — shared by the
-// v2 and v3 layouts.
+// langMap reads back one ActiveByLang map column entry.
 func (d *colDec) langMap() map[string]int {
 	cnt := d.count(minMapEntry)
 	if cnt == 0 {
@@ -841,8 +919,8 @@ func (d *colDec) labelsCol() []Label {
 	for i := range ls {
 		ls[i].Src = d.dictAt(src, i)
 	}
-	for i := range ls {
-		ls[i].URI = d.str()
+	for i, s := range d.strs(n) {
+		ls[i].URI = s
 	}
 	val := d.dictIDs(n)
 	for i := range ls {
@@ -856,15 +934,19 @@ func (d *colDec) labelsCol() []Label {
 	for i := range ls {
 		ls[i].Kind = SubjectKind(d.dictAt(kind, i))
 	}
-	var prev int64
-	for i := range ls {
-		prev += d.sv()
-		ls[i].Applied = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range ls {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			ls[i].Applied = timeOf(prev)
+		}
 	}
-	prev = 0
-	for i := range ls {
-		prev += d.sv()
-		ls[i].SubjectCreated = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range ls {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			ls[i].SubjectCreated = timeOf(prev)
+		}
 	}
 	bs = d.bits(n)
 	for i := range ls {
@@ -884,30 +966,34 @@ func (d *colDec) feedGensCol() []FeedGen {
 		return nil
 	}
 	fs := make([]FeedGen, n)
-	for i := range fs {
-		fs[i].URI = d.str()
+	for i, s := range d.strs(n) {
+		fs[i].URI = s
 	}
-	var prev int64
-	for i := range fs {
-		prev += d.sv()
-		fs[i].CreatorIdx = int(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range fs {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			fs[i].CreatorIdx = int(prev)
+		}
 	}
 	for i := range fs {
 		fs[i].Platform = d.dictStr()
 	}
-	for i := range fs {
-		fs[i].DisplayName = d.str()
+	for i, s := range d.strs(n) {
+		fs[i].DisplayName = s
 	}
-	for i := range fs {
-		fs[i].Description = d.str()
+	for i, s := range d.strs(n) {
+		fs[i].Description = s
 	}
 	for i := range fs {
 		fs[i].Lang = d.dictStr()
 	}
-	prev = 0
-	for i := range fs {
-		prev += d.sv()
-		fs[i].CreatedAt = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range fs {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			fs[i].CreatedAt = timeOf(prev)
+		}
 	}
 	for i := range fs {
 		fs[i].Likes = int(d.sv())
@@ -915,10 +1001,12 @@ func (d *colDec) feedGensCol() []FeedGen {
 	for i := range fs {
 		fs[i].Posts = int(d.sv())
 	}
-	prev = 0
-	for i := range fs {
-		prev += d.sv()
-		fs[i].LastPost = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range fs {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			fs[i].LastPost = timeOf(prev)
+		}
 	}
 	bs := d.bits(n)
 	for i := range fs {
@@ -943,8 +1031,8 @@ func (d *colDec) domainsCol() []Domain {
 		return nil
 	}
 	ds := make([]Domain, n)
-	for i := range ds {
-		ds[i].Name = d.str()
+	for i, s := range d.strs(n) {
+		ds[i].Name = s
 	}
 	for i := range ds {
 		ds[i].IANAID = int(d.sv())
@@ -971,16 +1059,18 @@ func (d *colDec) handleUpdatesCol() []HandleUpdate {
 		return nil
 	}
 	hs := make([]HandleUpdate, n)
-	for i := range hs {
-		hs[i].DID = d.str()
+	for i, s := range d.strs(n) {
+		hs[i].DID = s
 	}
-	for i := range hs {
-		hs[i].NewHandle = d.str()
+	for i, s := range d.strs(n) {
+		hs[i].NewHandle = s
 	}
-	var prev int64
-	for i := range hs {
-		prev += d.sv()
-		hs[i].Time = timeOf(prev)
+	if fb := d.fixed(n); fb != nil {
+		var prev int64
+		for i := range hs {
+			prev += int64(binary.LittleEndian.Uint64(fb[8*i:]))
+			hs[i].Time = timeOf(prev)
+		}
 	}
 	return hs
 }

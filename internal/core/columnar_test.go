@@ -2,19 +2,15 @@ package core
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
-
-// -update regenerates the checked-in golden v1 store under testdata/.
-var updateGolden = flag.Bool("update", false, "regenerate golden testdata stores")
 
 // columnarTestBlock builds one RecordBlock exercising every collection
 // and field class the columnar codec carries, including the header.
@@ -39,10 +35,10 @@ func columnarTestBlock() *RecordBlock {
 	}
 }
 
-// TestColumnarRoundTrip pins the lossless contract of the v2 codec at
-// the single-block level, including the degenerate blocks the disk
-// writer emits (header-only, one collection at a time, empty).
-func TestColumnarRoundTrip(t *testing.T) {
+// TestColumnarV3RoundTrip pins the lossless contract of the columnar
+// codec at the single-block level, including the degenerate blocks the
+// disk writer emits.
+func TestColumnarV3RoundTrip(t *testing.T) {
 	full := columnarTestBlock()
 	blocks := []*RecordBlock{
 		full,
@@ -57,7 +53,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		{HandleUpdates: full.HandleUpdates},
 	}
 	for i, b := range blocks {
-		enc, err := MarshalBlockVersion(b, 2)
+		enc, err := MarshalBlock(b)
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
@@ -71,277 +67,95 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarV1ParityNormalization pins that the v1 and v2 codecs
-// normalize identically (empty slices/maps decode as nil on both), so
-// switching store versions can never shift a DeepEqual-based golden.
-func TestColumnarV1ParityNormalization(t *testing.T) {
-	b := &RecordBlock{
-		Users: []User{{DID: "did:plc:x"}},
-		Days:  []DayActivity{{Date: time.Date(2024, 3, 10, 0, 0, 0, 0, time.UTC), ActiveByLang: map[string]int{}}},
-		Labelers: []Labeler{
-			{DID: "did:plc:l", Values: []string{}},
-		},
-	}
-	v1, err := MarshalBlockVersion(b, 1)
+// TestUnmarshalBlockDispatch pins the codec-tag dispatch: plain and
+// LZ-compressed v3 payloads decode; empty input, unknown tags and the
+// tags of the retired v1/v2 block formats fail loudly.
+func TestUnmarshalBlockDispatch(t *testing.T) {
+	b := columnarTestBlock()
+	enc, err := MarshalBlock(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := MarshalBlockVersion(b, 2)
-	if err != nil {
-		t.Fatal(err)
+	comp := lzCompress(enc[1:])
+	if comp == nil {
+		t.Fatal("test block does not LZ-compress")
 	}
-	d1, err := UnmarshalBlock(v1)
-	if err != nil {
-		t.Fatal(err)
+	lz := append([]byte{enc[0] | blockCodecLZ}, binary.AppendUvarint(nil, uint64(len(enc)-1))...)
+	lz = append(lz, comp...)
+	for name, payload := range map[string][]byte{"v3": enc, "LZ v3": lz} {
+		got, err := UnmarshalBlock(payload)
+		if err != nil {
+			t.Fatalf("%s payload: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, b) {
+			t.Errorf("%s payload: decoded block drifted", name)
+		}
 	}
-	d2, err := UnmarshalBlock(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d1, d2) {
-		t.Errorf("v1 and v2 normalize differently:\n v1 %+v\n v2 %+v", d1, d2)
+	v1 := v1FixtureFrame(t)
+	for name, enc := range map[string][]byte{
+		"empty":            nil,
+		"unknown tag":      {0x7f, 0x00},
+		"bare v1 CBOR":     v1,
+		"tagged v1 CBOR":   append([]byte{0x01}, v1...),
+		"v2 columnar":      {0x02, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"LZ bit on v2 tag": {0x02 | blockCodecLZ, 0},
+	} {
+		if _, err := UnmarshalBlock(enc); err == nil {
+			t.Errorf("%s payload accepted", name)
+		}
 	}
 }
 
-// TestColumnarDeterminism pins byte-identical encoding across calls —
-// the property the spill-store byte-compare goldens stand on.
-func TestColumnarDeterminism(t *testing.T) {
+// TestColumnarV3Determinism pins byte-identical encoding across calls —
+// content-hash cache keys and spill goldens stand on it.
+func TestColumnarV3Determinism(t *testing.T) {
 	b := columnarTestBlock()
-	first := encodeColumnarBlock(b)
+	first := encodeBlock(b)
 	for i := 0; i < 8; i++ {
-		if !bytes.Equal(first, encodeColumnarBlock(b)) {
+		if !bytes.Equal(first, encodeBlock(b)) {
 			t.Fatalf("encoding of the same block drifted on call %d", i)
 		}
 	}
 }
 
-// TestColumnarSmallerThanCBOR pins the size win on a realistic
-// repetitive block: dictionary interning plus delta/varint packing
-// must beat the row-CBOR map encoding by a wide margin, not scrape by.
-func TestColumnarSmallerThanCBOR(t *testing.T) {
-	base := time.Date(2024, 3, 10, 0, 0, 0, 0, time.UTC)
-	var users []User
-	for i := 0; i < 2000; i++ {
-		users = append(users, User{
-			DID:       fmt.Sprintf("did:plc:user%06d", i),
-			Handle:    fmt.Sprintf("user%06d.bsky.social", i),
-			DIDMethod: "plc",
-			PDS:       fmt.Sprintf("pds%d", i%8),
-			Proof:     ProofManaged,
-			CreatedAt: base.Add(time.Duration(i) * time.Second),
-			Lang:      []string{"en", "pt", "ja", "de"}[i%4],
-			Followers: i % 100, Following: i % 50, Posts: i % 30,
-		})
-	}
-	b := &RecordBlock{Users: users}
-	v1, err := MarshalBlockVersion(b, 1)
+// TestColumnarV3DictView pins the DictBlock contract: the captured
+// label id columns resolve through the captured dictionary to exactly
+// the decoded label strings.
+func TestColumnarV3DictView(t *testing.T) {
+	enc, err := MarshalBlock(columnarTestBlock())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := MarshalBlockVersion(b, 2)
+	b, db, err := UnmarshalBlockDict(enc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v2)*2 > len(v1) {
-		t.Errorf("columnar encoding is %d bytes vs %d CBOR — expected at least a 2× size win", len(v2), len(v1))
+	if db == nil || len(db.Dict) == 0 {
+		t.Fatal("no dictionary view")
+	}
+	if len(db.LabelSrc) != len(b.Labels) || len(db.LabelVal) != len(b.Labels) || len(db.LabelKind) != len(b.Labels) {
+		t.Fatalf("label id columns not parallel to labels (%d/%d/%d ids, %d labels)",
+			len(db.LabelSrc), len(db.LabelVal), len(db.LabelKind), len(b.Labels))
+	}
+	for i := range b.Labels {
+		if db.Dict[db.LabelSrc[i]] != b.Labels[i].Src {
+			t.Fatalf("label %d src id %d resolves to %q, want %q", i, db.LabelSrc[i], db.Dict[db.LabelSrc[i]], b.Labels[i].Src)
+		}
+		if db.Dict[db.LabelVal[i]] != b.Labels[i].Val {
+			t.Fatalf("label %d val id mismatch", i)
+		}
+		if db.Dict[db.LabelKind[i]] != string(b.Labels[i].Kind) {
+			t.Fatalf("label %d kind id mismatch", i)
+		}
 	}
 }
 
-// TestUnmarshalBlockDispatch pins the codec-tag dispatch: bare v1
-// CBOR, tagged CBOR, and columnar payloads all decode; unknown tags
-// and empty input fail loudly.
-func TestUnmarshalBlockDispatch(t *testing.T) {
-	b := columnarTestBlock()
-	v1, err := MarshalBlockVersion(b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, enc := range map[string][]byte{
-		"bare v1 CBOR": v1,
-		"tagged CBOR":  append([]byte{blockCodecCBOR}, v1...),
-		"columnar":     encodeColumnarBlock(b),
-	} {
-		got, err := UnmarshalBlock(enc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, b) {
-			t.Errorf("%s: decoded block drifted", name)
-		}
-	}
-	if _, err := UnmarshalBlock(nil); err == nil {
-		t.Error("empty block accepted")
-	}
-	if _, err := UnmarshalBlock([]byte{0x7f, 0x00}); err == nil {
-		t.Error("unknown codec tag accepted")
-	}
-	if _, err := MarshalBlockVersion(b, DiskFormatVersion+1); err == nil {
-		t.Error("future block format version accepted by the writer")
-	}
-}
-
-// TestSimulatedV1ReaderRejectsV2 pins the downgrade story from the old
-// reader's side: a binary built when DiskFormatVersion was 1 applies
-// exactly the version gate newPartitionReaderMax(r, 1) applies, so a
-// v2 file must fail its header check with an error naming the version
-// — never be misparsed.
-func TestSimulatedV1ReaderRejectsV2(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "part.cbor")
-	if err := WritePartition(path, diskTestDataset(), 0); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = newPartitionReaderMax(bytes.NewReader(data), 1)
-	if err == nil {
-		t.Fatal("a v1-era reader accepted a current-format block file")
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("version %d", DiskFormatVersion)) {
-		t.Errorf("rejection does not name the offending version: %v", err)
-	}
-	// The same bytes open fine with the current gate.
-	if _, err := NewPartitionReader(bytes.NewReader(data)); err != nil {
-		t.Fatalf("current reader rejected its own file: %v", err)
-	}
-}
-
-// TestTranscodePartitionBlocks pins the scheduler's per-worker
-// downgrade: v2 block bytes transcode to a valid v1 file carrying the
-// same records in the same order, and back.
-func TestTranscodePartitionBlocks(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "part.cbor")
-	if err := WritePartition(path, diskTestDataset(), 3); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := TranscodePartitionBlocks(v2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readAll := func(data []byte, wantVersion int) []*RecordBlock {
-		t.Helper()
-		pr, err := NewPartitionReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pr.Version() != wantVersion {
-			t.Fatalf("transcoded file is v%d, want v%d", pr.Version(), wantVersion)
-		}
-		var blocks []*RecordBlock
-		for {
-			b, err := pr.Next()
-			if err != nil {
-				return blocks
-			}
-			blocks = append(blocks, b)
-		}
-	}
-	want := readAll(v2, DiskFormatVersion)
-	got := readAll(v1, 1)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v1 transcode drifted from the current-format original")
-	}
-	back, err := TranscodePartitionBlocks(v1, DiskFormatVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, v2) {
-		t.Errorf("v1→v%d transcode is not byte-identical to the original file", DiskFormatVersion)
-	}
-	same, err := TranscodePartitionBlocks(v2, DiskFormatVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(same, v2) {
-		t.Errorf("same-version transcode rewrote the bytes")
-	}
-}
-
-// TestMixedVersionStoreRejected pins the blended re-spill gate: a
-// store whose manifest and block files disagree on the format version
-// must fail OpenCorpus loudly, never blend.
-func TestMixedVersionStoreRejected(t *testing.T) {
-	dir := t.TempDir()
-	parts, m := Split(diskTestDataset(), 2)
-	if err := WriteCorpusVersion(dir, parts, m, 1); err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenCorpus(dir)
-	if err != nil {
-		t.Fatalf("clean v1 store rejected: %v", err)
-	}
-	if c.Version != 1 {
-		t.Fatalf("v1 store opened as v%d", c.Version)
-	}
-	// A stray v2 re-spill of one partition over the v1 store.
-	if err := WritePartitionVersion(filepath.Join(dir, PartitionFileName(0)), parts[0], 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenCorpus(dir)
-	if err == nil {
-		t.Fatal("mixed-version store opened")
-	}
-	if !strings.Contains(err.Error(), "mixed-version") {
-		t.Errorf("mixed-version error is not loud about the cause: %v", err)
-	}
-	// A full re-spill at v2 replaces everything and opens clean.
-	if err := WriteCorpus(dir, parts, m); err != nil {
-		t.Fatal(err)
-	}
-	c, err = OpenCorpus(dir)
-	if err != nil {
-		t.Fatalf("full v2 re-spill over a v1 store does not open: %v", err)
-	}
-	if c.Version != DiskFormatVersion {
-		t.Fatalf("re-spilled store is v%d, want v%d", c.Version, DiskFormatVersion)
-	}
-}
-
-// TestGoldenV1Store reads the checked-in v1 store (written by a v1
-// writer and frozen as testdata) with the current reader — the
-// cross-version compatibility promise in its strongest form, immune to
-// accidental co-evolution of writer and reader. Regenerate with
-// `go test ./internal/core/ -run TestGoldenV1Store -update`.
-func TestGoldenV1Store(t *testing.T) {
-	dir := filepath.Join("testdata", "v1-store")
-	if *updateGolden {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteCorpusVersion(dir, []*Dataset{diskTestDataset()}, nil, 1); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", dir)
-	}
-	c, err := OpenCorpus(dir)
-	if err != nil {
-		t.Fatalf("golden v1 store does not open: %v", err)
-	}
-	if c.Version != 1 {
-		t.Fatalf("golden store is v%d, want v1", c.Version)
-	}
-	got, err := c.ReadPartition(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := diskTestDataset(); !reflect.DeepEqual(got, want) {
-		t.Errorf("golden v1 store decoded with drift:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestColumnarHostileBytes complements TestPartitionReaderHostileBytes
-// below the framing layer: random mutations of a valid columnar
-// payload hit the decoder directly (no checksum shielding it), and
-// must produce errors or valid blocks — never panics or runaway
-// allocations.
-func TestColumnarHostileBytes(t *testing.T) {
-	valid := encodeColumnarBlock(columnarTestBlock())[1:] // strip tag
-	rng := rand.New(rand.NewSource(20260808))
+// TestColumnarV3HostileBytes fuzzes the columnar decoder with truncations,
+// bit flips, and garbage — every outcome must be an error or a decoded
+// block, never a panic or a runaway allocation.
+func TestColumnarV3HostileBytes(t *testing.T) {
+	valid := encodeBlock(columnarTestBlock())[1:]
+	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 4000; i++ {
 		var mut []byte
 		switch i % 3 {
@@ -356,6 +170,162 @@ func TestColumnarHostileBytes(t *testing.T) {
 			mut = make([]byte, rng.Intn(256))
 			rng.Read(mut)
 		}
-		_, _ = decodeColumnarBlock(mut, nil)
+		_, _ = decodeBlock(mut, nil)
+	}
+}
+
+// TestLZRoundTrip pins the LZ codec: compressible input round-trips
+// exactly, incompressible input is declined, and compression is
+// deterministic.
+func TestLZRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cases := [][]byte{
+		bytes.Repeat([]byte("abcd"), 1000),
+		bytes.Repeat([]byte{0}, 500),
+		[]byte("at://did:plc:aaaa/app.bsky.feed.post/1at://did:plc:aaaa/app.bsky.feed.post/2"),
+		encodeBlock(columnarTestBlock()),
+	}
+	long := make([]byte, 200000)
+	for i := range long {
+		long[i] = byte(rng.Intn(4)) // low-entropy, long matches
+	}
+	cases = append(cases, long)
+	for i, src := range cases {
+		comp := lzCompress(src)
+		if comp == nil {
+			t.Fatalf("case %d: compressible input declined", i)
+		}
+		if len(comp) >= len(src) {
+			t.Fatalf("case %d: output %d not smaller than input %d", i, len(comp), len(src))
+		}
+		if again := lzCompress(src); !bytes.Equal(comp, again) {
+			t.Fatalf("case %d: compression not deterministic", i)
+		}
+		got, err := lzDecompress(comp, len(src))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatalf("case %d: round trip drifted", i)
+		}
+	}
+	// Random bytes do not compress; the encoder must say so rather
+	// than inflate.
+	noise := make([]byte, 4096)
+	rng.Read(noise)
+	if comp := lzCompress(noise); comp != nil {
+		t.Fatalf("incompressible input accepted (%d -> %d bytes)", len(noise), len(comp))
+	}
+}
+
+// TestLZHostileBytes fuzzes the LZ decoder: corrupt streams, lying raw
+// lengths, and garbage must all fail cleanly.
+func TestLZHostileBytes(t *testing.T) {
+	src := encodeBlock(columnarTestBlock())
+	comp := lzCompress(src)
+	if comp == nil {
+		t.Fatal("test payload did not compress")
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 4000; i++ {
+		mut := append([]byte(nil), comp...)
+		switch i % 4 {
+		case 0:
+			for j := 0; j < 1+rng.Intn(8); j++ {
+				mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
+			}
+		case 1:
+			mut = mut[:rng.Intn(len(mut))]
+		case 2:
+			mut = make([]byte, rng.Intn(256))
+			rng.Read(mut)
+		case 3:
+			// keep the stream, lie about the raw length below
+		}
+		declared := len(src)
+		if i%4 == 3 {
+			declared = rng.Intn(4 * len(src))
+		}
+		out, err := lzDecompress(mut, declared)
+		if err == nil && len(out) != declared {
+			t.Fatalf("iteration %d: decoder returned %d bytes without error, declared %d", i, len(out), declared)
+		}
+	}
+	// A lying raw length far beyond what the stream could produce is
+	// rejected before allocation.
+	if _, err := lzDecompress([]byte{0x80, 1, 0}, maxBlockBytes); err == nil {
+		t.Fatal("absurd raw length accepted")
+	}
+}
+
+// v1StoreDir holds a store written by the retired v1 writer, frozen as
+// testdata: the input the pre-v3 rejection tests read.
+var v1StoreDir = filepath.Join("testdata", "v1-store")
+
+// v1FixtureFrame returns the first frame payload of the v1 fixture's
+// partition file — a real row-CBOR block of a retired format.
+func v1FixtureFrame(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(v1StoreDir, PartitionFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := binary.BigEndian.Uint32(data[partitionHeaderLen:])
+	return data[partitionHeaderLen+8 : partitionHeaderLen+8+int(n)]
+}
+
+// TestMixedVersionStoreRejected pins the blended re-spill gate: a
+// current store holding one block file of another format version must
+// fail OpenCorpus loudly, never blend.
+func TestMixedVersionStoreRejected(t *testing.T) {
+	dir := t.TempDir()
+	parts, m := Split(diskTestDataset(), 2)
+	if err := WriteCorpus(dir, parts, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCorpus(dir); err != nil {
+		t.Fatalf("clean store rejected: %v", err)
+	}
+	// A stray copy of the v1 fixture partition over partition 0.
+	v1, err := os.ReadFile(filepath.Join(v1StoreDir, PartitionFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, PartitionFileName(0)), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenCorpus(dir)
+	if err == nil {
+		t.Fatal("mixed-version store opened")
+	}
+	var fe *FormatVersionError
+	if !strings.Contains(err.Error(), "mixed-version") || !errors.As(err, &fe) || fe.Version != 1 {
+		t.Errorf("mixed-version error is not loud about the cause: %v", err)
+	}
+	// A full re-spill replaces everything and opens clean.
+	if err := WriteCorpus(dir, parts, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCorpus(dir); err != nil {
+		t.Fatalf("full re-spill over a mixed store does not open: %v", err)
+	}
+}
+
+// TestGoldenV1Store opens the checked-in v1 store (written by the
+// retired v1 writer and frozen as testdata): OpenCorpus and the block
+// reader must both reject it with a *FormatVersionError that names
+// version 1 and asks for a re-spill — never misread it.
+func TestGoldenV1Store(t *testing.T) {
+	_, err := OpenCorpus(v1StoreDir)
+	var fe *FormatVersionError
+	if !errors.As(err, &fe) || fe.Version != 1 {
+		t.Fatalf("golden v1 store: got %v, want a *FormatVersionError for v1", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "re-spill") {
+		t.Errorf("rejection does not name the version and the fix: %v", err)
+	}
+	_, err = OpenPartition(filepath.Join(v1StoreDir, PartitionFileName(0)))
+	if !errors.As(err, &fe) || fe.Version != 1 {
+		t.Errorf("v1 block file: got %v, want a *FormatVersionError for v1", err)
 	}
 }

@@ -20,7 +20,7 @@ const (
 
 // User is one account in the Identifier + DID Document datasets.
 //
-//wire:v1 fields=14
+//wire:v3 fields=14
 type User struct {
 	DID       string
 	Handle    string
@@ -42,7 +42,7 @@ type User struct {
 
 // Post is one post from the Repositories dataset.
 //
-//wire:v1 fields=8
+//wire:v3 fields=8
 type Post struct {
 	URI       string
 	AuthorIdx int // index into Dataset.Users
@@ -56,7 +56,7 @@ type Post struct {
 
 // DayActivity is one day of platform activity (Figure 1 / Figure 2).
 //
-//wire:v1 fields=8
+//wire:v3 fields=8
 type DayActivity struct {
 	Date        time.Time
 	ActiveUsers int
@@ -71,7 +71,7 @@ type DayActivity struct {
 
 // EventCounts aggregates Firehose event types (Table 1).
 //
-//wire:v1 fields=4
+//wire:v3 fields=4
 type EventCounts struct {
 	Commits   int64
 	Identity  int64
@@ -95,7 +95,7 @@ const (
 
 // Label is one labeling interaction from the Labeling Services dataset.
 //
-//wire:v1 fields=8
+//wire:v3 fields=8
 type Label struct {
 	Src     string // labeler DID
 	URI     string // subject
@@ -116,7 +116,7 @@ func (l Label) ReactionTime() time.Duration { return l.Applied.Sub(l.SubjectCrea
 
 // Labeler is one labeling service (§6.1).
 //
-//wire:v1 fields=12
+//wire:v3 fields=12
 type Labeler struct {
 	DID      string
 	Name     string
@@ -139,7 +139,7 @@ type Labeler struct {
 
 // FeedGen is one feed generator (§7).
 //
-//wire:v1 fields=14
+//wire:v3 fields=14
 type FeedGen struct {
 	URI         string
 	CreatorIdx  int    // index into Dataset.Users
@@ -165,7 +165,7 @@ type FeedGen struct {
 
 // HandleUpdate is one #handle event (§5, User Handles Updates).
 //
-//wire:v1 fields=3
+//wire:v3 fields=3
 type HandleUpdate struct {
 	DID       string
 	NewHandle string
@@ -174,7 +174,7 @@ type HandleUpdate struct {
 
 // Domain is one registered domain from the WHOIS scan (Table 2).
 //
-//wire:v1 fields=6
+//wire:v3 fields=6
 type Domain struct {
 	Name string
 	// IANAID is 0 when WHOIS omitted it (ccTLD policy).

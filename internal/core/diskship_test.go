@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-// shipTestFile writes diskTestDataset as a block file at version and
-// returns its bytes.
-func shipTestFile(t *testing.T, version int) []byte {
+// shipTestFile writes diskTestDataset as a block file, two records per
+// block, and returns its bytes.
+func shipTestFile(t testing.TB) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "part.cbor")
-	if err := WritePartitionVersion(path, diskTestDataset(), 2, version); err != nil {
+	if err := WritePartition(path, diskTestDataset(), 2); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -63,14 +63,14 @@ func collectBlocks(t *testing.T, data []byte) *Dataset {
 // 0 only, and the legs concatenate back to the whole partition.
 func TestClipPartitionBlocksParity(t *testing.T) {
 	ds := diskTestDataset()
-	data := shipTestFile(t, DiskFormatVersion)
+	data := shipTestFile(t)
 	info := ds.PartitionInfo(0)
 	const nsub = 3
 	subs := SubPartitionInfos(info, nsub)
 	var cat *Dataset
 	for j, sub := range subs {
 		rng := SubRowRange(info, subs[j], j == 0)
-		clipped, err := ClipPartitionBlocks(data, rng, DiskFormatVersion)
+		clipped, err := ClipPartitionBlocks(data, rng)
 		if err != nil {
 			t.Fatalf("sub %d: %v", j, err)
 		}
@@ -111,11 +111,11 @@ func TestClipPartitionBlocksParity(t *testing.T) {
 }
 
 // TestCompressPartitionBlocksRoundTrip pins the ship-compression
-// contract: a v3 payload shrinks, reads back record-identical, and the
-// rewrite is idempotent and deterministic; pre-v3 payloads (no LZ bit
-// in their format) pass through untouched.
+// contract: a payload shrinks, reads back record-identical, and the
+// rewrite is idempotent and deterministic; a payload whose header
+// declares another format version fails like NewPartitionReader.
 func TestCompressPartitionBlocksRoundTrip(t *testing.T) {
-	data := shipTestFile(t, DiskFormatVersion)
+	data := shipTestFile(t)
 	comp, err := CompressPartitionBlocks(data)
 	if err != nil {
 		t.Fatal(err)
@@ -136,27 +136,32 @@ func TestCompressPartitionBlocksRoundTrip(t *testing.T) {
 	if second, err := CompressPartitionBlocks(data); err != nil || !bytes.Equal(second, comp) {
 		t.Fatalf("compression is not deterministic (err %v)", err)
 	}
-	for _, version := range []int{1, 2} {
-		old := shipTestFile(t, version)
-		got, err := CompressPartitionBlocks(old)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
+	// Any header other than the current format is rejected with the
+	// reader's own error — never passed through or re-checksummed.
+	for _, version := range []byte{1, 2, DiskFormatVersion + 1} {
+		bad := append([]byte(nil), data...)
+		bad[len(partitionMagic)+3] = version
+		_, err := CompressPartitionBlocks(bad)
+		var fe *FormatVersionError
+		if !errors.As(err, &fe) || fe.Version != int(version) {
+			t.Fatalf("v%d header: got %v, want a *FormatVersionError", version, err)
 		}
-		if !bytes.Equal(got, old) {
-			t.Fatalf("v%d payload rewritten; formats below 3 have no LZ bit", version)
+		_, rerr := NewPartitionReader(bytes.NewReader(bad))
+		if rerr == nil || rerr.Error() != err.Error() {
+			t.Fatalf("v%d header: ship path says %q, reader says %v", version, err, rerr)
 		}
 	}
 }
 
 // TestClipThenCompress pins the scheduler's exact ship pipeline for a
-// split unit on a v3-capable worker: slice, compress, read back.
+// split unit: slice, compress, read back.
 func TestClipThenCompress(t *testing.T) {
 	ds := diskTestDataset()
-	data := shipTestFile(t, DiskFormatVersion)
+	data := shipTestFile(t)
 	info := ds.PartitionInfo(0)
 	subs := SubPartitionInfos(info, 2)
 	rng := SubRowRange(info, subs[1], false)
-	clipped, err := ClipPartitionBlocks(data, rng, DiskFormatVersion)
+	clipped, err := ClipPartitionBlocks(data, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,9 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
-
-	"blueskies/internal/cbor"
 )
 
 // This file implements the disk-backed partition store: a corpus
@@ -36,20 +33,14 @@ import (
 //
 //	"BSKYPART"  8-byte magic
 //	uint32      format version (big-endian)
-//	frames      uint32 payload length | uint32 FNV-1a checksum | payload
+//	frames      uint32 payload length | uint32 CRC-32C checksum | payload
 //	end frame   length 0, checksum 0
 //
-// Version 1 frames carry a bare row-oriented DAG-CBOR wireBlock map.
-// Version ≥ 2 frames start with a one-byte codec tag followed by the
-// payload — blockCodecColumnar for the v2 columnar encoding
-// (columnar.go), blockCodecColumnar3 for the fixed-width v3 encoding
-// (columnar3.go), blockCodecCBOR for a tagged CBOR wireBlock — so a
-// reader dispatches per frame and versions can mix codecs within one
-// file. A v3 frame's tag may additionally carry the blockCodecLZ bit:
-// the rest of the payload is then a uvarint raw length plus an LZ
-// stream (lz.go) that decompresses to the untagged inner payload. The
-// tag space can never collide with bare CBOR: a CBOR map's first byte
-// is ≥ 0xa0, and every tag (0x41–0x43 with the LZ bit) stays below it.
+// Every frame payload is one columnar record block (columnar.go): a
+// one-byte codec tag, blockCodecColumnar3, then the block. The tag may
+// additionally carry the blockCodecLZ bit: the rest of the payload is
+// then a uvarint raw length plus an LZ stream (lz.go) that
+// decompresses to the untagged inner payload.
 //
 // The explicit end frame makes truncation detectable even when a file
 // is cut exactly at a frame boundary; the per-frame checksum catches
@@ -57,21 +48,32 @@ import (
 // at a time and never materialize a partition, which is what gives the
 // out-of-core evaluation its O(one block) residency per partition.
 
-// DiskFormatVersion is the current partition block-file format.
-// Version 2 added the per-frame codec tag and the columnar block
-// encoding; version 3 adds the fixed-width columnar layout and the
-// optional per-frame LZ compression bit. Writers default to the
-// current version, readers accept every version ≤ it.
+// DiskFormatVersion is the partition store format: columnar record
+// blocks in CRC-32C-checksummed frames, optionally LZ-compressed per
+// frame. It is the only format this build reads or writes. Every store
+// is synthetic and regenerates from its (seed, scale), so a store
+// written at an older version is not converted: OpenCorpus and the
+// block readers reject it with a *FormatVersionError, and the fix is
+// to re-spill it.
 const DiskFormatVersion = 3
 
-// Per-frame codec tags (format version ≥ 2).
+// FormatVersionError reports a store manifest or partition block file
+// that declares a format version other than DiskFormatVersion.
+type FormatVersionError struct {
+	Version int
+}
+
+func (e *FormatVersionError) Error() string {
+	return fmt.Sprintf("core: partition format version %d not supported (this build reads only v%d); re-spill the store", e.Version, DiskFormatVersion)
+}
+
+// Frame payload codec tags. The values 0x01 and 0x02 belonged to
+// retired block formats and are rejected like any unknown tag.
 const (
-	blockCodecCBOR      = 0x01 // tagged row-oriented CBOR wireBlock
-	blockCodecColumnar  = 0x02 // v2 columnar encoding (columnar.go)
-	blockCodecColumnar3 = 0x03 // v3 fixed-width columnar encoding (columnar3.go)
-	// blockCodecLZ is OR'd onto a codec tag (format version ≥ 3): the
-	// payload after the tag is `uvarint raw length | LZ stream` and
-	// decompresses to the inner codec's untagged payload.
+	blockCodecColumnar3 = 0x03 // columnar encoding (columnar.go)
+	// blockCodecLZ is OR'd onto the codec tag: the payload after the
+	// tag is `uvarint raw length | LZ stream` and decompresses to the
+	// inner codec's untagged payload.
 	blockCodecLZ = 0x40
 )
 
@@ -80,6 +82,9 @@ const DiskBlockRecords = 4096
 
 // partitionMagic opens every partition block file.
 const partitionMagic = "BSKYPART"
+
+// partitionHeaderLen is the magic plus the big-endian uint32 version.
+const partitionHeaderLen = len(partitionMagic) + 4
 
 // ManifestFile is the name of the manifest sidecar in a store directory.
 const ManifestFile = "manifest.json"
@@ -93,10 +98,7 @@ const maxBlockBytes = 1 << 28
 func PartitionFileName(k int) string { return fmt.Sprintf("part-%05d.cbor", k) }
 
 // manifestEnvelope versions the manifest sidecar. Readers require the
-// exact format string and reject versions newer than they understand;
-// adding fields to Manifest or to block maps is backward-compatible
-// (JSON and the CBOR struct decoder both ignore unknown keys), so the
-// version only bumps on incompatible layout changes.
+// exact format string and version DiskFormatVersion.
 type manifestEnvelope struct {
 	Format   string    `json:"format"`
 	Version  int       `json:"version"`
@@ -106,22 +108,11 @@ type manifestEnvelope struct {
 // manifestFormat identifies the sidecar's schema family.
 const manifestFormat = "blueskies/partition-store"
 
-// WriteManifest writes the manifest sidecar into dir at the current
-// store version.
+// WriteManifest writes the manifest sidecar into dir.
 func WriteManifest(dir string, m *Manifest) error {
-	return WriteManifestVersion(dir, m, DiskFormatVersion)
-}
-
-// WriteManifestVersion writes the manifest sidecar stamped with an
-// explicit store version — the version every block file in dir must
-// have been written at (OpenCorpus cross-checks them).
-func WriteManifestVersion(dir string, m *Manifest, version int) error {
-	if version < 1 || version > DiskFormatVersion {
-		return fmt.Errorf("core: cannot write a v%d store (writer supports 1–%d)", version, DiskFormatVersion)
-	}
 	data, err := json.MarshalIndent(manifestEnvelope{
 		Format:   manifestFormat,
-		Version:  version,
+		Version:  DiskFormatVersion,
 		Manifest: m,
 	}, "", "  ")
 	if err != nil {
@@ -132,60 +123,45 @@ func WriteManifestVersion(dir string, m *Manifest, version int) error {
 
 // ReadManifest reads and validates the manifest sidecar in dir.
 func ReadManifest(dir string) (*Manifest, error) {
-	m, _, err := ReadManifestVersion(dir)
-	return m, err
-}
-
-// ReadManifestVersion reads the manifest sidecar plus the store
-// version its envelope declares.
-func ReadManifestVersion(dir string) (*Manifest, int, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	var env manifestEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, 0, fmt.Errorf("core: decode manifest: %w", err)
+		return nil, fmt.Errorf("core: decode manifest: %w", err)
 	}
 	if env.Format != manifestFormat {
-		return nil, 0, fmt.Errorf("core: %s is not a partition-store manifest (format %q)", ManifestFile, env.Format)
+		return nil, fmt.Errorf("core: %s is not a partition-store manifest (format %q)", ManifestFile, env.Format)
 	}
-	if env.Version < 1 || env.Version > DiskFormatVersion {
-		return nil, 0, fmt.Errorf("core: partition store version %d not supported (reader supports ≤ %d)", env.Version, DiskFormatVersion)
+	if env.Version != DiskFormatVersion {
+		return nil, &FormatVersionError{Version: env.Version}
 	}
 	if env.Manifest == nil || len(env.Manifest.Partitions) == 0 {
-		return nil, 0, fmt.Errorf("core: manifest describes no partitions")
+		return nil, fmt.Errorf("core: manifest describes no partitions")
 	}
-	return env.Manifest, env.Version, nil
+	return env.Manifest, nil
 }
 
 // PartitionWriter streams framed record blocks to one partition file
-// (or any byte sink), encoding each block at the writer's format
-// version. Every byte written is also folded into a content hash —
-// the per-partition content address the scheduler keys worker block
-// caches by (ContentHash).
+// (or any byte sink). Every byte written is also folded into a content
+// hash — the per-partition content address the scheduler keys worker
+// block caches by (ContentHash).
 type PartitionWriter struct {
-	w       *bufio.Writer
-	h       hash.Hash
-	closer  io.Closer
-	version int
-	err     error
+	w      *bufio.Writer
+	h      hash.Hash
+	closer io.Closer
+	err    error
 }
 
 // CreatePartition creates (truncating) the block file at path and
-// writes the format header at the current version.
+// writes the format header.
 func CreatePartition(path string) (*PartitionWriter, error) {
-	return CreatePartitionVersion(path, DiskFormatVersion)
-}
-
-// CreatePartitionVersion is CreatePartition at an explicit format
-// version — how v1 stores are still produced for old readers.
-func CreatePartitionVersion(path string, version int) (*PartitionWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	pw, err := NewPartitionWriter(f, version)
+	pw, err := NewPartitionWriter(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -197,28 +173,17 @@ func CreatePartitionVersion(path string, version int) (*PartitionWriter, error) 
 // NewPartitionWriter wraps an already-open byte sink, writing the
 // format header. CreatePartition is the file-path convenience; Close
 // only closes sinks opened by this package.
-func NewPartitionWriter(w io.Writer, version int) (*PartitionWriter, error) {
-	if version < 1 || version > DiskFormatVersion {
-		return nil, fmt.Errorf("core: cannot write partition format v%d (writer supports 1–%d)", version, DiskFormatVersion)
-	}
+func NewPartitionWriter(w io.Writer) (*PartitionWriter, error) {
 	h := sha256.New()
-	pw := &PartitionWriter{w: bufio.NewWriterSize(io.MultiWriter(w, h), 1<<16), h: h, version: version}
-	if _, err := pw.w.WriteString(partitionMagic); err != nil {
-		pw.fail(err)
-	}
-	var v [4]byte
-	binary.BigEndian.PutUint32(v[:], uint32(version))
-	if _, err := pw.w.Write(v[:]); err != nil {
-		pw.fail(err)
-	}
-	if pw.err != nil {
-		return nil, pw.err
+	pw := &PartitionWriter{w: bufio.NewWriterSize(io.MultiWriter(w, h), 1<<16), h: h}
+	var hdr [partitionHeaderLen]byte
+	copy(hdr[:], partitionMagic)
+	binary.BigEndian.PutUint32(hdr[len(partitionMagic):], DiskFormatVersion)
+	if _, err := pw.w.Write(hdr[:]); err != nil {
+		return nil, err
 	}
 	return pw, nil
 }
-
-// Version returns the format version the writer encodes at.
-func (pw *PartitionWriter) Version() int { return pw.version }
 
 // contentHashLen truncates partition content hashes: 96 bits is far
 // beyond collision range for any store while keeping manifests and
@@ -246,18 +211,12 @@ func (pw *PartitionWriter) fail(err error) {
 	}
 }
 
-// WriteBlock appends one record block frame, encoded at the writer's
-// format version: v1 frames carry a bare CBOR wireBlock, v2 frames a
-// codec-tagged columnar payload.
+// WriteBlock appends one record block frame.
 func (pw *PartitionWriter) WriteBlock(b *RecordBlock) error {
 	if pw.err != nil {
 		return pw.err
 	}
-	payload, err := MarshalBlockVersion(b, pw.version)
-	if err != nil {
-		pw.fail(fmt.Errorf("core: encode disk block: %w", err))
-		return pw.err
-	}
+	payload := encodeBlock(b)
 	if len(payload) > maxBlockBytes {
 		pw.fail(fmt.Errorf("core: disk block of %d bytes exceeds the %d frame bound", len(payload), maxBlockBytes))
 		return pw.err
@@ -266,27 +225,19 @@ func (pw *PartitionWriter) WriteBlock(b *RecordBlock) error {
 	return pw.err
 }
 
-// castagnoli is the CRC-32C polynomial table. Format v3 frames
-// checksum with it because amd64/arm64 compute CRC-32C in hardware;
-// FNV-1a (v1/v2 frames, kept for compatibility) walks the payload a
-// byte at a time and dominated v3 decode profiles (~40% of wall).
+// castagnoli is the CRC-32C polynomial table: amd64/arm64 compute
+// CRC-32C in hardware, so frame checksums stay off decode profiles.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameChecksum computes a frame payload's checksum under the given
-// file format version.
-func frameChecksum(version int, payload []byte) uint32 {
-	if version >= 3 {
-		return crc32.Checksum(payload, castagnoli)
-	}
-	h := fnv.New32a()
-	h.Write(payload)
-	return h.Sum32()
+// frameChecksum computes a frame payload's checksum.
+func frameChecksum(payload []byte) uint32 {
+	return crc32.Checksum(payload, castagnoli)
 }
 
 func (pw *PartitionWriter) writeFrame(payload []byte) {
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], frameChecksum(pw.version, payload))
+	binary.BigEndian.PutUint32(hdr[4:], frameChecksum(payload))
 	if _, err := pw.w.Write(hdr[:]); err != nil {
 		pw.fail(err)
 		return
@@ -324,22 +275,15 @@ func (pw *PartitionWriter) Close() error {
 // partition is written incrementally — no second copy of the dataset
 // is ever held.
 func WritePartition(path string, ds *Dataset, blockRecords int) error {
-	return WritePartitionVersion(path, ds, blockRecords, DiskFormatVersion)
-}
-
-// WritePartitionVersion is WritePartition at an explicit format
-// version.
-func WritePartitionVersion(path string, ds *Dataset, blockRecords, version int) error {
-	_, err := WritePartitionContent(path, ds, blockRecords, version)
+	_, err := WritePartitionContent(path, ds, blockRecords)
 	return err
 }
 
-// WritePartitionContent is WritePartitionVersion returning the written
-// file's content hash — what spill paths record as
-// PartitionInfo.ContentHash so schedulers can address worker caches by
-// partition content.
-func WritePartitionContent(path string, ds *Dataset, blockRecords, version int) (string, error) {
-	pw, err := CreatePartitionVersion(path, version)
+// WritePartitionContent is WritePartition returning the written file's
+// content hash — what spill paths record as PartitionInfo.ContentHash
+// so schedulers can address worker caches by partition content.
+func WritePartitionContent(path string, ds *Dataset, blockRecords int) (string, error) {
+	pw, err := CreatePartition(path)
 	if err != nil {
 		return "", err
 	}
@@ -394,47 +338,37 @@ func writeDatasetBlocks(pw *PartitionWriter, ds *Dataset, blockRecords int) erro
 	return nil
 }
 
-// PartitionReader streams record blocks back out of one block file,
-// dispatching each frame on the file's format version.
+// PartitionReader streams record blocks back out of one block file.
 type PartitionReader struct {
-	r       *bufio.Reader
-	closer  io.Closer
-	version int
+	r      *bufio.Reader
+	closer io.Closer
 }
 
 // NewPartitionReader wraps an already-open block stream, validating the
 // format header. OpenPartition is the file-path convenience.
 func NewPartitionReader(r io.Reader) (*PartitionReader, error) {
-	return newPartitionReaderMax(r, DiskFormatVersion)
-}
-
-// newPartitionReaderMax caps the accepted format version — the exact
-// gate a reader built before version maxVersion+1 applies, kept
-// callable so compat tests can prove a v1-era reader rejects v2 files
-// loudly instead of misreading them.
-func newPartitionReaderMax(r io.Reader, maxVersion int) (*PartitionReader, error) {
 	pr := &PartitionReader{r: bufio.NewReaderSize(r, 1<<16)}
-	magic := make([]byte, len(partitionMagic))
-	if _, err := io.ReadFull(pr.r, magic); err != nil {
+	var hdr [partitionHeaderLen]byte
+	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: partition header: %w", noEOF(err))
 	}
-	if string(magic) != partitionMagic {
-		return nil, fmt.Errorf("core: not a partition block file (magic %q)", magic)
+	if err := checkPartitionHeader(hdr[:]); err != nil {
+		return nil, err
 	}
-	var v [4]byte
-	if _, err := io.ReadFull(pr.r, v[:]); err != nil {
-		return nil, fmt.Errorf("core: partition header: %w", noEOF(err))
-	}
-	ver := binary.BigEndian.Uint32(v[:])
-	if ver < 1 || int64(ver) > int64(maxVersion) {
-		return nil, fmt.Errorf("core: partition format version %d not supported (reader supports ≤ %d)", ver, maxVersion)
-	}
-	pr.version = int(ver)
 	return pr, nil
 }
 
-// Version returns the format version declared by the file header.
-func (pr *PartitionReader) Version() int { return pr.version }
+// checkPartitionHeader validates a block file's leading bytes: the
+// magic, then the format version, which must be DiskFormatVersion.
+func checkPartitionHeader(data []byte) error {
+	if len(data) < partitionHeaderLen || string(data[:len(partitionMagic)]) != partitionMagic {
+		return fmt.Errorf("core: not a partition block file (magic %q)", data[:min(len(data), len(partitionMagic))])
+	}
+	if v := binary.BigEndian.Uint32(data[len(partitionMagic):]); v != DiskFormatVersion {
+		return &FormatVersionError{Version: int(v)}
+	}
+	return nil
+}
 
 // OpenPartition opens the block file at path.
 func OpenPartition(path string) (*PartitionReader, error) {
@@ -472,8 +406,7 @@ func (pr *PartitionReader) Next() (*RecordBlock, error) {
 // NextDict is Next surfacing the frame's dictionary view alongside the
 // block — the zero-rehash ingest fast path's input: analysis folds the
 // dictionary into its intern tables once per block instead of
-// re-hashing every row (streamIngest.applyColumnar). The view is nil
-// for v1 and tagged-CBOR frames, which carry no dictionary.
+// re-hashing every row (streamIngest.applyColumnar).
 func (pr *PartitionReader) NextDict() (*RecordBlock, *DictBlock, error) {
 	return pr.next(true)
 }
@@ -506,64 +439,10 @@ func (pr *PartitionReader) next(wantDict bool) (*RecordBlock, *DictBlock, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: partition frame payload: %w", err)
 	}
-	if got := frameChecksum(pr.version, payload); got != sum {
+	if got := frameChecksum(payload); got != sum {
 		return nil, nil, fmt.Errorf("core: block checksum mismatch (frame %#x, payload %#x): corrupt block", sum, got)
 	}
-	return pr.decodeFrame(payload, wantDict)
-}
-
-// decodeFrame decodes one checksummed frame payload per the file's
-// format version: v1 payloads are bare CBOR wireBlocks, v≥2 payloads
-// start with a codec tag, v3 tags may carry the LZ compression bit.
-// When wantDict is set the columnar dictionary view is captured too.
-func (pr *PartitionReader) decodeFrame(payload []byte, wantDict bool) (*RecordBlock, *DictBlock, error) {
-	if pr.version < 2 {
-		var wb wireBlock
-		if err := cbor.Unmarshal(payload, &wb); err != nil {
-			return nil, nil, fmt.Errorf("core: decode disk block: %w", err)
-		}
-		return blockFromWire(&wb), nil, nil
-	}
-	if len(payload) == 0 {
-		return nil, nil, fmt.Errorf("core: empty v%d frame payload", pr.version)
-	}
-	tag, body := payload[0], payload[1:]
-	if tag&blockCodecLZ != 0 {
-		if pr.version < 3 {
-			return nil, nil, fmt.Errorf("core: v%d frame carries unknown block codec %#x", pr.version, tag)
-		}
-		inner, err := expandLZPayload(body)
-		if err != nil {
-			return nil, nil, err
-		}
-		tag, body = tag&^byte(blockCodecLZ), inner
-	}
-	var db *DictBlock
-	if wantDict {
-		db = &DictBlock{}
-	}
-	switch {
-	case tag == blockCodecColumnar:
-		b, err := decodeColumnarBlock(body, db)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decode disk block: %w", err)
-		}
-		return b, db, nil
-	case tag == blockCodecColumnar3 && pr.version >= 3:
-		b, err := decodeColumnarBlockV3(body, db)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decode disk block: %w", err)
-		}
-		return b, db, nil
-	case tag == blockCodecCBOR:
-		var wb wireBlock
-		if err := cbor.Unmarshal(body, &wb); err != nil {
-			return nil, nil, fmt.Errorf("core: decode disk block: %w", err)
-		}
-		return blockFromWire(&wb), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("core: v%d frame carries unknown block codec %#x", pr.version, tag)
-	}
+	return UnmarshalBlockDict(payload, wantDict)
 }
 
 // expandLZPayload decompresses the bytes after an LZ-bit codec tag:
@@ -633,12 +512,6 @@ func ClearStore(dir string) error {
 // generation straight to disk see synth.GeneratePartitionedTo, which
 // never materializes more than one partition per worker.
 func WriteCorpus(dir string, parts []*Dataset, m *Manifest) error {
-	return WriteCorpusVersion(dir, parts, m, DiskFormatVersion)
-}
-
-// WriteCorpusVersion is WriteCorpus at an explicit store version —
-// every block file and the manifest envelope are stamped with it.
-func WriteCorpusVersion(dir string, parts []*Dataset, m *Manifest, version int) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("core: refusing to write an empty corpus")
 	}
@@ -655,13 +528,13 @@ func WriteCorpusVersion(dir string, parts []*Dataset, m *Manifest, version int) 
 		return err
 	}
 	for k, p := range parts {
-		hash, err := WritePartitionContent(filepath.Join(dir, PartitionFileName(k)), p, 0, version)
+		hash, err := WritePartitionContent(filepath.Join(dir, PartitionFileName(k)), p, 0)
 		if err != nil {
 			return fmt.Errorf("core: write partition %d: %w", k, err)
 		}
 		m.Partitions[k].ContentHash = hash
 	}
-	return WriteManifestVersion(dir, m, version)
+	return WriteManifest(dir, m)
 }
 
 // Corpus is an opened disk-backed partition store: the parsed manifest
@@ -671,47 +544,28 @@ func WriteCorpusVersion(dir string, parts []*Dataset, m *Manifest, version int) 
 type Corpus struct {
 	Dir      string
 	Manifest *Manifest
-	// Version is the store's block-file format version, from the
-	// manifest envelope and cross-checked against every file header.
-	Version int
-}
-
-// ReadPartitionFileVersion reads the format version from a block
-// file's 12-byte header without opening a block reader.
-func ReadPartitionFileVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	hdr := make([]byte, len(partitionMagic)+4)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, fmt.Errorf("core: partition header: %w", noEOF(err))
-	}
-	if string(hdr[:len(partitionMagic)]) != partitionMagic {
-		return 0, fmt.Errorf("core: not a partition block file (magic %q)", hdr[:len(partitionMagic)])
-	}
-	return int(binary.BigEndian.Uint32(hdr[len(partitionMagic):])), nil
 }
 
 // OpenCorpus opens a store directory: parses the manifest sidecar and
-// cross-checks it against the block files actually present — a missing
-// partition file, a stray extra one, or a block file whose header
-// version disagrees with the manifest envelope (a blended re-spill)
-// all fail here, before any traversal starts.
+// cross-checks it against the block files actually present — a
+// manifest or block file at another format version, a missing
+// partition file, or a stray extra one all fail here, before any
+// traversal starts. A version mismatch surfaces as a
+// *FormatVersionError (errors.As).
 func OpenCorpus(dir string) (*Corpus, error) {
-	m, version, err := ReadManifestVersion(dir)
+	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
 	for k := range m.Partitions {
-		fv, err := ReadPartitionFileVersion(filepath.Join(dir, PartitionFileName(k)))
+		pr, err := OpenPartition(filepath.Join(dir, PartitionFileName(k)))
 		if err != nil {
+			if fe := (*FormatVersionError)(nil); errors.As(err, &fe) {
+				return nil, fmt.Errorf("core: mixed-version store: partition %d: %w", k, err)
+			}
 			return nil, fmt.Errorf("core: manifest lists %d partitions but partition %d is unreadable: %w", len(m.Partitions), k, err)
 		}
-		if fv != version {
-			return nil, fmt.Errorf("core: mixed-version store: partition %d is format v%d but the manifest says v%d — re-spill the whole directory", k, fv, version)
-		}
+		pr.Close()
 	}
 	extra, err := filepath.Glob(filepath.Join(dir, "part-*.cbor"))
 	if err != nil {
@@ -720,7 +574,7 @@ func OpenCorpus(dir string) (*Corpus, error) {
 	if len(extra) != len(m.Partitions) {
 		return nil, fmt.Errorf("core: manifest lists %d partitions but %d block files present", len(m.Partitions), len(extra))
 	}
-	return &Corpus{Dir: dir, Manifest: m, Version: version}, nil
+	return &Corpus{Dir: dir, Manifest: m}, nil
 }
 
 // OpenPartition opens partition k's block reader.
@@ -731,60 +585,21 @@ func (c *Corpus) OpenPartition(k int) (*PartitionReader, error) {
 	return OpenPartition(filepath.Join(c.Dir, PartitionFileName(k)))
 }
 
-// TranscodePartitionBlocks re-frames an in-memory partition block file
-// at a different format version — the scheduler's per-worker downgrade
-// when a ship-blocks peer only speaks older formats. Every frame is
-// decoded and re-encoded; record content and order are preserved
-// exactly, so an evaluation over the transcoded bytes stays
-// byte-identical to one over the original.
-func TranscodePartitionBlocks(data []byte, version int) ([]byte, error) {
-	pr, err := NewPartitionReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	if pr.Version() == version {
-		return data, nil
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(data))
-	pw, err := NewPartitionWriter(&buf, version)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		b, err := pr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := pw.WriteBlock(b); err != nil {
-			return nil, err
-		}
-	}
-	if err := pw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // ClipPartitionBlocks re-frames an in-memory partition block file
-// restricted to one row sub-range, encoded at the target format
-// version — how the scheduler ships a split unit's slice instead of
+// restricted to one row sub-range — how the scheduler ships a split unit's slice instead of
 // the whole parent payload. The stream is exactly what a worker-side
 // RowClipper over the full file would feed the engine (headers and
 // labeler announcements pass through, facts are zeroed for non-facts
 // ranges, rows outside the range are dropped), so evaluating the
 // clipped payload without a Range stays byte-identical to evaluating
 // the parent payload with one. Blocks clipped empty are elided.
-func ClipPartitionBlocks(data []byte, rng RowRange, version int) ([]byte, error) {
+func ClipPartitionBlocks(data []byte, rng RowRange) ([]byte, error) {
 	pr, err := NewPartitionReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	pw, err := NewPartitionWriter(&buf, version)
+	pw, err := NewPartitionWriter(&buf)
 	if err != nil {
 		return nil, err
 	}
@@ -815,18 +630,10 @@ func ClipPartitionBlocks(data []byte, rng RowRange, version int) ([]byte, error)
 
 // CompressPartitionBlocks rewrites an in-memory partition block file
 // with every frame payload LZ-compressed where that makes it smaller —
-// the scheduler's ship form for v3-capable workers. Store versions < 3
-// predate the LZ bit, so their bytes are returned unchanged; frames
-// that do not shrink (or are already compressed) are kept as-is, which
-// makes the call idempotent.
+// the scheduler's ship form. Frames that do not shrink (or are already
+// compressed) are kept as-is, which makes the call idempotent. A file
+// whose header is not the current format fails like NewPartitionReader.
 func CompressPartitionBlocks(data []byte) ([]byte, error) {
-	version, err := blockFileVersion(data)
-	if err != nil {
-		return nil, err
-	}
-	if version < 3 {
-		return data, nil
-	}
 	return mapRawFrames(data, func(payload []byte) ([]byte, error) {
 		if len(payload) == 0 || payload[0]&blockCodecLZ != 0 {
 			return payload, nil
@@ -846,27 +653,16 @@ func CompressPartitionBlocks(data []byte) ([]byte, error) {
 	})
 }
 
-// blockFileVersion reads the format version from an in-memory block
-// file's 12-byte header.
-func blockFileVersion(data []byte) (int, error) {
-	if len(data) < len(partitionMagic)+4 || string(data[:len(partitionMagic)]) != partitionMagic {
-		return 0, fmt.Errorf("core: not a partition block file")
-	}
-	return int(binary.BigEndian.Uint32(data[len(partitionMagic):])), nil
-}
-
 // mapRawFrames rebuilds a block file with each frame payload passed
 // through fn, re-checksumming as it goes. Payloads are transformed
 // raw — no block decode — so the traversal is pure byte work.
 func mapRawFrames(data []byte, fn func(payload []byte) ([]byte, error)) ([]byte, error) {
-	hdrLen := len(partitionMagic) + 4
-	version, err := blockFileVersion(data)
-	if err != nil {
+	if err := checkPartitionHeader(data); err != nil {
 		return nil, err
 	}
 	out := make([]byte, 0, len(data))
-	out = append(out, data[:hdrLen]...)
-	pos := hdrLen
+	out = append(out, data[:partitionHeaderLen]...)
+	pos := partitionHeaderLen
 	for {
 		if len(data)-pos < 8 {
 			return nil, fmt.Errorf("core: partition frame header: %w", io.ErrUnexpectedEOF)
@@ -889,7 +685,7 @@ func mapRawFrames(data []byte, fn func(payload []byte) ([]byte, error)) ([]byte,
 		}
 		payload := data[pos : pos+int(length)]
 		pos += int(length)
-		if got := frameChecksum(version, payload); got != sum {
+		if got := frameChecksum(payload); got != sum {
 			return nil, fmt.Errorf("core: block checksum mismatch (frame %#x, payload %#x): corrupt block", sum, got)
 		}
 		np, err := fn(payload)
@@ -898,7 +694,7 @@ func mapRawFrames(data []byte, fn func(payload []byte) ([]byte, error)) ([]byte,
 		}
 		var hdr [8]byte
 		binary.BigEndian.PutUint32(hdr[:4], uint32(len(np)))
-		binary.BigEndian.PutUint32(hdr[4:], frameChecksum(version, np))
+		binary.BigEndian.PutUint32(hdr[4:], frameChecksum(np))
 		out = append(out, hdr[:]...)
 		out = append(out, np...)
 	}

@@ -3,15 +3,16 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"blueskies/internal/cbor"
 	"blueskies/internal/events"
 )
 
@@ -329,7 +330,7 @@ func TestSimBlockRejectsInlineLabels(t *testing.T) {
 	if _, err := BlockEvent(&RecordBlock{Labels: ds.Labels}); err == nil {
 		t.Fatal("BlockEvent accepted labels")
 	}
-	body, err := cbor.Marshal(blockToWire(&RecordBlock{Labels: ds.Labels}))
+	body, err := MarshalBlock(&RecordBlock{Labels: ds.Labels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,16 +340,27 @@ func TestSimBlockRejectsInlineLabels(t *testing.T) {
 }
 
 // TestDiskVersionGate pins the block-file header checks: wrong magic
-// and future format versions are rejected.
+// and truncation are rejected, and so is every format version other
+// than the current one — the retired v1 and v2 as well as future ones —
+// with a typed error that names the version and asks for a re-spill.
 func TestDiskVersionGate(t *testing.T) {
-	if _, err := NewPartitionReader(bytes.NewReader([]byte("NOTAPART\x00\x00\x00\x01"))); err == nil {
+	if _, err := NewPartitionReader(bytes.NewReader([]byte("NOTAPART\x00\x00\x00\x03"))); err == nil {
 		t.Error("wrong magic accepted")
-	}
-	if _, err := NewPartitionReader(bytes.NewReader([]byte(partitionMagic + "\x00\x00\x00\x63"))); err == nil {
-		t.Error("future block-file version accepted")
 	}
 	if _, err := NewPartitionReader(bytes.NewReader([]byte(partitionMagic))); err == nil {
 		t.Error("header-truncated file accepted")
+	}
+	for _, version := range []int{1, 2, 0x63} {
+		hdr := append([]byte(partitionMagic), 0, 0, 0, byte(version))
+		_, err := NewPartitionReader(bytes.NewReader(hdr))
+		var fe *FormatVersionError
+		if !errors.As(err, &fe) || fe.Version != version {
+			t.Errorf("v%d block-file header: got %v, want a *FormatVersionError", version, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", version)) || !strings.Contains(msg, "re-spill") {
+			t.Errorf("v%d rejection does not name the version and the fix: %v", version, err)
+		}
 	}
 }
 
@@ -370,25 +382,15 @@ func drainPartition(pr *PartitionReader) error {
 // a valid partition file, plus pure noise, must all produce errors or
 // clean EOFs — never a panic and never a runaway allocation.
 func TestPartitionReaderHostileBytes(t *testing.T) {
-	for _, version := range []int{1, 2, DiskFormatVersion} {
-		path := filepath.Join(t.TempDir(), "part.cbor")
-		if err := WritePartitionVersion(path, diskTestDataset(), 2, version); err != nil {
-			t.Fatal(err)
-		}
-		valid, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if version == DiskFormatVersion {
-			// Mutate the compressed form too: corrupt LZ frames must
-			// fail as cleanly as corrupt plain frames.
-			comp, err := CompressPartitionBlocks(valid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			valid = comp
-		}
-		versionHeader := append([]byte(partitionMagic), 0, 0, 0, byte(version))
+	plain := shipTestFile(t)
+	// Mutate the compressed form too: corrupt LZ frames must fail as
+	// cleanly as corrupt plain frames.
+	comp, err := CompressPartitionBlocks(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, valid := range [][]byte{plain, comp} {
+		versionHeader := valid[:partitionHeaderLen]
 		rng := rand.New(rand.NewSource(20240501))
 		for i := 0; i < 4000; i++ {
 			var mut []byte
@@ -423,29 +425,30 @@ func TestPartitionReaderHostileBytes(t *testing.T) {
 // must always return (blocks, error) — never panic, never spin — for
 // any input, seeded with a valid partition file and its mutations.
 func FuzzPartitionReader(f *testing.F) {
-	for _, version := range []int{1, 2, DiskFormatVersion} {
-		path := filepath.Join(f.TempDir(), "part.cbor")
-		if err := WritePartitionVersion(path, diskTestDataset(), 2, version); err != nil {
-			f.Fatal(err)
-		}
-		valid, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(valid)
-		f.Add(valid[:len(valid)/2])
-		if version == DiskFormatVersion {
-			comp, err := CompressPartitionBlocks(valid)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(comp)
-			f.Add(comp[:len(comp)/2])
-		}
+	valid := shipTestFile(f)
+	comp, err := CompressPartitionBlocks(valid)
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Add([]byte(partitionMagic + "\x00\x00\x00\x01"))
-	f.Add([]byte(partitionMagic + "\x00\x00\x00\x02"))
-	f.Add([]byte{})
+	v1, err := os.ReadFile(filepath.Join(v1StoreDir, PartitionFileName(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The v1 fixture's frames behind a current header: CBOR payloads
+	// and FNV checksums the reader must refuse, not misparse.
+	v1Relabeled := append([]byte(nil), v1...)
+	v1Relabeled[partitionHeaderLen-1] = DiskFormatVersion
+	for _, seed := range [][]byte{
+		valid, valid[:len(valid)/2],
+		comp, comp[:len(comp)/2],
+		v1, v1[:len(v1)/2], v1Relabeled,
+		[]byte(partitionMagic + "\x00\x00\x00\x01"),
+		[]byte(partitionMagic + "\x00\x00\x00\x02"),
+		[]byte(partitionMagic + "\x00\x00\x00\x63"),
+		{},
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pr, err := NewPartitionReader(bytes.NewReader(data))
 		if err != nil {

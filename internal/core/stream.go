@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"blueskies/internal/cbor"
 	"blueskies/internal/events"
 )
 
@@ -22,7 +21,7 @@ import (
 // streaming analysis consumes. Any subset of the fields may be set;
 // records of each collection arrive in their canonical dataset order.
 //
-//wire:v1 fields=10
+//wire:v3 fields=10
 type RecordBlock struct {
 	// Header carries the corpus-level facts; producers send it before
 	// any records.
@@ -55,7 +54,7 @@ func (b *RecordBlock) Len() int {
 // StreamHeader is the corpus-level metadata of a record stream — the
 // scalar facts a batch run reads off the materialized Dataset.
 //
-//wire:v1 fields=5
+//wire:v3 fields=5
 type StreamHeader struct {
 	Scale                  int
 	WindowStart, WindowEnd time.Time
@@ -63,8 +62,6 @@ type StreamHeader struct {
 	NonBskyEvents          int64
 }
 
-// ---- wire structs ----
-//
 // Timestamps travel as UnixNano so replayed records round-trip
 // losslessly (the protocol's millisecond strings would truncate the
 // sub-second reaction times of §6). Zero times encode as 0.
@@ -81,146 +78,6 @@ func timeOf(ns int64) time.Time {
 		return time.Time{}
 	}
 	return time.Unix(0, ns).UTC()
-}
-
-//wire:v1 fields=14
-type wireUser struct {
-	DID       string `cbor:"did"`
-	Handle    string `cbor:"handle,omitempty"`
-	DIDMethod string `cbor:"method,omitempty"`
-	PDS       string `cbor:"pds,omitempty"`
-	Proof     string `cbor:"proof,omitempty"`
-	CreatedNS int64  `cbor:"created,omitempty"`
-	Lang      string `cbor:"lang,omitempty"`
-	Followers int    `cbor:"followers,omitempty"`
-	Following int    `cbor:"following,omitempty"`
-	Posts     int    `cbor:"posts,omitempty"`
-	Likes     int    `cbor:"likes,omitempty"`
-	Reposts   int    `cbor:"reposts,omitempty"`
-	Blocks    int    `cbor:"blocks,omitempty"`
-	Deleted   bool   `cbor:"deleted,omitempty"`
-}
-
-//wire:v1 fields=8
-type wirePost struct {
-	URI       string `cbor:"uri"`
-	AuthorIdx int    `cbor:"author,omitempty"`
-	Lang      string `cbor:"lang,omitempty"`
-	CreatedNS int64  `cbor:"created,omitempty"`
-	Likes     int    `cbor:"likes,omitempty"`
-	Reposts   int    `cbor:"reposts,omitempty"`
-	HasMedia  bool   `cbor:"media,omitempty"`
-	AltText   bool   `cbor:"alt,omitempty"`
-}
-
-//wire:v1 fields=8
-type wireDay struct {
-	DateNS       int64          `cbor:"date"`
-	ActiveUsers  int            `cbor:"active,omitempty"`
-	Posts        int            `cbor:"posts,omitempty"`
-	Likes        int            `cbor:"likes,omitempty"`
-	Reposts      int            `cbor:"reposts,omitempty"`
-	Follows      int            `cbor:"follows,omitempty"`
-	Blocks       int            `cbor:"blocks,omitempty"`
-	ActiveByLang map[string]int `cbor:"byLang,omitempty"`
-}
-
-//wire:v1 fields=14
-type wireFeedGen struct {
-	URI          string  `cbor:"uri"`
-	CreatorIdx   int     `cbor:"creator,omitempty"`
-	Platform     string  `cbor:"platform,omitempty"`
-	DisplayName  string  `cbor:"name,omitempty"`
-	Description  string  `cbor:"desc,omitempty"`
-	Lang         string  `cbor:"lang,omitempty"`
-	CreatedNS    int64   `cbor:"created,omitempty"`
-	Likes        int     `cbor:"likes,omitempty"`
-	Posts        int     `cbor:"posts,omitempty"`
-	LastPostNS   int64   `cbor:"lastPost,omitempty"`
-	Reachable    bool    `cbor:"reachable,omitempty"`
-	Personalized bool    `cbor:"personalized,omitempty"`
-	LabeledShare float64 `cbor:"labeledShare,omitempty"`
-	TopLabel     string  `cbor:"topLabel,omitempty"`
-}
-
-//wire:v1 fields=6
-type wireDomain struct {
-	Name          string `cbor:"name"`
-	IANAID        int    `cbor:"ianaID,omitempty"`
-	RegistrarName string `cbor:"registrar,omitempty"`
-	CCTLD         bool   `cbor:"ccTLD,omitempty"`
-	TrancoRank    int    `cbor:"tranco,omitempty"`
-	Subdomains    int    `cbor:"subdomains,omitempty"`
-}
-
-//wire:v1 fields=3
-type wireHandleUpdate struct {
-	DID       string `cbor:"did"`
-	NewHandle string `cbor:"handle,omitempty"`
-	TimeNS    int64  `cbor:"time,omitempty"`
-}
-
-// wireLabel is the disk-block representation of a label. On the live
-// wire labels travel on labeler-stream frames (events.Labels) instead;
-// the disk store keeps each partition self-contained in one file, so
-// its blocks carry labels inline.
-//
-//wire:v1 fields=8
-type wireLabel struct {
-	Src       string `cbor:"src"`
-	URI       string `cbor:"uri,omitempty"`
-	Val       string `cbor:"val,omitempty"`
-	Neg       bool   `cbor:"neg,omitempty"`
-	Kind      string `cbor:"kind,omitempty"`
-	AppliedNS int64  `cbor:"applied,omitempty"`
-	SubjectNS int64  `cbor:"subject,omitempty"`
-	Fresh     bool   `cbor:"fresh,omitempty"`
-}
-
-//wire:v1 fields=12
-type wireLabeler struct {
-	DID         string   `cbor:"did"`
-	Name        string   `cbor:"name,omitempty"`
-	Official    bool     `cbor:"official,omitempty"`
-	Values      []string `cbor:"values,omitempty"`
-	AnnouncedNS int64    `cbor:"announced,omitempty"`
-	Functional  bool     `cbor:"functional,omitempty"`
-	Active      bool     `cbor:"active,omitempty"`
-	Hosting     string   `cbor:"hosting,omitempty"`
-	Automated   bool     `cbor:"automated,omitempty"`
-	Likes       int      `cbor:"likes,omitempty"`
-	Operator    string   `cbor:"operator,omitempty"`
-	About       string   `cbor:"about,omitempty"`
-}
-
-//wire:v1 fields=8
-type wireHeader struct {
-	Scale         int   `cbor:"scale,omitempty"`
-	WindowStartNS int64 `cbor:"windowStart,omitempty"`
-	WindowEndNS   int64 `cbor:"windowEnd,omitempty"`
-	Commits       int64 `cbor:"commits,omitempty"`
-	Identity      int64 `cbor:"identity,omitempty"`
-	Handle        int64 `cbor:"handle,omitempty"`
-	Tombstone     int64 `cbor:"tombstone,omitempty"`
-	NonBskyEvents int64 `cbor:"nonBsky,omitempty"`
-}
-
-// wireBlock is the encoded form of one RecordBlock. Two carriers use
-// it: #sim.block stream frames (minus labels, which travel on the
-// protocol's own labeler stream frames — BlockEvent enforces that) and
-// the disk partition store, whose blocks carry labels inline.
-//
-//wire:v1 fields=9
-type wireBlock struct {
-	Header        *wireHeader        `cbor:"header,omitempty"`
-	Labelers      []wireLabeler      `cbor:"labelers,omitempty"`
-	Users         []wireUser         `cbor:"users,omitempty"`
-	Posts         []wirePost         `cbor:"posts,omitempty"`
-	Days          []wireDay          `cbor:"days,omitempty"`
-	Labels        []wireLabel        `cbor:"labels,omitempty"`
-	FeedGens      []wireFeedGen      `cbor:"feedGens,omitempty"`
-	Domains       []wireDomain       `cbor:"domains,omitempty"`
-	HandleUpdates []wireHandleUpdate `cbor:"handleUpdates,omitempty"`
 }
 
 const (
@@ -241,173 +98,49 @@ func BlockEvent(b *RecordBlock) (*events.Sim, error) {
 	return &events.Sim{Kind: simKindBlock, Body: body}, nil
 }
 
-// blockToWire converts a RecordBlock (labels included) to its encoded
-// form — shared by the stream frame codec and the disk partition store.
-func blockToWire(b *RecordBlock) *wireBlock {
-	wb := &wireBlock{
-		Labelers:      make([]wireLabeler, 0, len(b.Labelers)),
-		Users:         make([]wireUser, 0, len(b.Users)),
-		Posts:         make([]wirePost, 0, len(b.Posts)),
-		Days:          make([]wireDay, 0, len(b.Days)),
-		Labels:        make([]wireLabel, 0, len(b.Labels)),
-		FeedGens:      make([]wireFeedGen, 0, len(b.FeedGens)),
-		Domains:       make([]wireDomain, 0, len(b.Domains)),
-		HandleUpdates: make([]wireHandleUpdate, 0, len(b.HandleUpdates)),
-	}
-	if h := b.Header; h != nil {
-		wb.Header = &wireHeader{
-			Scale:         h.Scale,
-			WindowStartNS: nsOf(h.WindowStart),
-			WindowEndNS:   nsOf(h.WindowEnd),
-			Commits:       h.Firehose.Commits,
-			Identity:      h.Firehose.Identity,
-			Handle:        h.Firehose.Handle,
-			Tombstone:     h.Firehose.Tombstone,
-			NonBskyEvents: h.NonBskyEvents,
-		}
-	}
-	for _, l := range b.Labelers {
-		wb.Labelers = append(wb.Labelers, wireLabeler{
-			DID: l.DID, Name: l.Name, Official: l.Official, Values: l.Values,
-			AnnouncedNS: nsOf(l.Announced), Functional: l.Functional, Active: l.Active,
-			Hosting: l.Hosting, Automated: l.Automated, Likes: l.Likes,
-			Operator: l.Operator, About: l.About,
-		})
-	}
-	for _, u := range b.Users {
-		wb.Users = append(wb.Users, wireUser{
-			DID: u.DID, Handle: u.Handle, DIDMethod: u.DIDMethod, PDS: u.PDS,
-			Proof: string(u.Proof), CreatedNS: nsOf(u.CreatedAt), Lang: u.Lang,
-			Followers: u.Followers, Following: u.Following, Posts: u.Posts,
-			Likes: u.Likes, Reposts: u.Reposts, Blocks: u.Blocks, Deleted: u.Deleted,
-		})
-	}
-	for _, p := range b.Posts {
-		wb.Posts = append(wb.Posts, wirePost{
-			URI: p.URI, AuthorIdx: p.AuthorIdx, Lang: p.Lang, CreatedNS: nsOf(p.CreatedAt),
-			Likes: p.Likes, Reposts: p.Reposts, HasMedia: p.HasMedia, AltText: p.AltText,
-		})
-	}
-	for _, d := range b.Days {
-		wb.Days = append(wb.Days, wireDay{
-			DateNS: nsOf(d.Date), ActiveUsers: d.ActiveUsers, Posts: d.Posts,
-			Likes: d.Likes, Reposts: d.Reposts, Follows: d.Follows, Blocks: d.Blocks,
-			ActiveByLang: d.ActiveByLang,
-		})
-	}
-	for _, l := range b.Labels {
-		wb.Labels = append(wb.Labels, wireLabel{
-			Src: l.Src, URI: l.URI, Val: l.Val, Neg: l.Neg, Kind: string(l.Kind),
-			AppliedNS: nsOf(l.Applied), SubjectNS: nsOf(l.SubjectCreated), Fresh: l.FreshSubject,
-		})
-	}
-	for _, fg := range b.FeedGens {
-		wb.FeedGens = append(wb.FeedGens, wireFeedGen{
-			URI: fg.URI, CreatorIdx: fg.CreatorIdx, Platform: fg.Platform,
-			DisplayName: fg.DisplayName, Description: fg.Description, Lang: fg.Lang,
-			CreatedNS: nsOf(fg.CreatedAt), Likes: fg.Likes, Posts: fg.Posts,
-			LastPostNS: nsOf(fg.LastPost), Reachable: fg.Reachable,
-			Personalized: fg.Personalized, LabeledShare: fg.LabeledShare, TopLabel: fg.TopLabel,
-		})
-	}
-	for _, d := range b.Domains {
-		wb.Domains = append(wb.Domains, wireDomain{
-			Name: d.Name, IANAID: d.IANAID, RegistrarName: d.RegistrarName,
-			CCTLD: d.CCTLD, TrancoRank: d.TrancoRank, Subdomains: d.Subdomains,
-		})
-	}
-	for _, h := range b.HandleUpdates {
-		wb.HandleUpdates = append(wb.HandleUpdates, wireHandleUpdate{
-			DID: h.DID, NewHandle: h.NewHandle, TimeNS: nsOf(h.Time),
-		})
-	}
-	return wb
-}
-
-// MarshalBlock encodes a RecordBlock to its canonical wire bytes — the
-// same encoding the disk-store frames and #sim.block events carry.
+// MarshalBlock encodes a RecordBlock to its canonical columnar bytes —
+// the same encoding the disk-store frames and #sim.block events carry.
 // Exported for carriers outside this package that need to ship dataset
 // records losslessly (the remote-evaluation shard state embeds a
-// header + labeler block this way). It encodes at the current format
-// version; use MarshalBlockVersion to downgrade for older peers.
+// header + labeler block this way).
 func MarshalBlock(b *RecordBlock) ([]byte, error) {
-	return MarshalBlockVersion(b, DiskFormatVersion)
+	return encodeBlock(b), nil
 }
 
-// MarshalBlockVersion encodes a RecordBlock at an explicit block
-// format version: 1 is the bare row-oriented CBOR wireBlock (what
-// every pre-v2 peer decodes), 2 the codec-tagged columnar encoding,
-// 3 the fixed-width columnar encoding (columnar3.go).
-func MarshalBlockVersion(b *RecordBlock, version int) ([]byte, error) {
-	switch version {
-	case 1:
-		return cbor.Marshal(blockToWire(b))
-	case 2:
-		return encodeColumnarBlock(b), nil
-	case 3:
-		return encodeColumnarBlockV3(b), nil
-	default:
-		return nil, fmt.Errorf("core: cannot encode block format v%d (writer supports 1–%d)", version, DiskFormatVersion)
-	}
-}
-
-// UnmarshalBlock decodes MarshalBlock's wire bytes at any supported
-// version, dispatching on the leading byte: a v≥2 payload starts with
-// its codec tag (possibly carrying the LZ compression bit), while a
-// bare v1 CBOR map's first byte is ≥ 0xa0 (major type 5), so the
-// spaces cannot collide.
+// UnmarshalBlock decodes MarshalBlock's bytes.
 func UnmarshalBlock(data []byte) (*RecordBlock, error) {
 	b, _, err := UnmarshalBlockDict(data, false)
 	return b, err
 }
 
 // UnmarshalBlockDict is UnmarshalBlock optionally surfacing the
-// columnar dictionary view for intern-table fusion (nil for v1/CBOR
-// payloads, which carry no dictionary).
+// block's dictionary view for intern-table fusion. The payload's codec
+// tag must be blockCodecColumnar3, optionally carrying the LZ bit;
+// anything else fails loudly.
 func UnmarshalBlockDict(data []byte, wantDict bool) (*RecordBlock, *DictBlock, error) {
 	if len(data) == 0 {
 		return nil, nil, fmt.Errorf("core: empty record block")
 	}
 	tag, body := data[0], data[1:]
-	if tag>>5 != 5 && tag&blockCodecLZ != 0 {
+	if tag&^byte(blockCodecLZ) != blockCodecColumnar3 {
+		return nil, nil, fmt.Errorf("core: record block carries unknown codec tag %#x", tag)
+	}
+	if tag&blockCodecLZ != 0 {
 		inner, err := expandLZPayload(body)
 		if err != nil {
 			return nil, nil, err
 		}
-		tag, body = tag&^byte(blockCodecLZ), inner
+		body = inner
 	}
 	var db *DictBlock
 	if wantDict {
 		db = &DictBlock{}
 	}
-	switch {
-	case tag == blockCodecColumnar:
-		b, err := decodeColumnarBlock(body, db)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decode record block: %w", err)
-		}
-		return b, db, nil
-	case tag == blockCodecColumnar3:
-		b, err := decodeColumnarBlockV3(body, db)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: decode record block: %w", err)
-		}
-		return b, db, nil
-	case tag == blockCodecCBOR:
-		var wb wireBlock
-		if err := cbor.Unmarshal(body, &wb); err != nil {
-			return nil, nil, fmt.Errorf("core: decode record block: %w", err)
-		}
-		return blockFromWire(&wb), nil, nil
-	case tag>>5 == 5: // bare CBOR map: the legacy v1 encoding
-		var wb wireBlock
-		if err := cbor.Unmarshal(data, &wb); err != nil {
-			return nil, nil, fmt.Errorf("core: decode record block: %w", err)
-		}
-		return blockFromWire(&wb), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("core: record block carries unknown codec tag %#x", data[0])
+	b, err := decodeBlock(body, db)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: decode record block: %w", err)
 	}
+	return b, db, nil
 }
 
 // EOFEvent returns the end-of-stream marker a replay emits after its
@@ -504,78 +237,6 @@ func DecodeStreamEvent(ev any) (block *RecordBlock, eof bool, err error) {
 		return nil, false, nil
 	}
 	return nil, false, fmt.Errorf("core: unexpected stream event %T", ev)
-}
-
-func blockFromWire(wb *wireBlock) *RecordBlock {
-	b := &RecordBlock{}
-	if wh := wb.Header; wh != nil {
-		b.Header = &StreamHeader{
-			Scale:       wh.Scale,
-			WindowStart: timeOf(wh.WindowStartNS),
-			WindowEnd:   timeOf(wh.WindowEndNS),
-			Firehose: EventCounts{
-				Commits: wh.Commits, Identity: wh.Identity,
-				Handle: wh.Handle, Tombstone: wh.Tombstone,
-			},
-			NonBskyEvents: wh.NonBskyEvents,
-		}
-	}
-	for _, l := range wb.Labelers {
-		b.Labelers = append(b.Labelers, Labeler{
-			DID: l.DID, Name: l.Name, Official: l.Official, Values: l.Values,
-			Announced: timeOf(l.AnnouncedNS), Functional: l.Functional, Active: l.Active,
-			Hosting: l.Hosting, Automated: l.Automated, Likes: l.Likes,
-			Operator: l.Operator, About: l.About,
-		})
-	}
-	for _, u := range wb.Users {
-		b.Users = append(b.Users, User{
-			DID: u.DID, Handle: u.Handle, DIDMethod: u.DIDMethod, PDS: u.PDS,
-			Proof: ProofMethod(u.Proof), CreatedAt: timeOf(u.CreatedNS), Lang: u.Lang,
-			Followers: u.Followers, Following: u.Following, Posts: u.Posts,
-			Likes: u.Likes, Reposts: u.Reposts, Blocks: u.Blocks, Deleted: u.Deleted,
-		})
-	}
-	for _, p := range wb.Posts {
-		b.Posts = append(b.Posts, Post{
-			URI: p.URI, AuthorIdx: p.AuthorIdx, Lang: p.Lang, CreatedAt: timeOf(p.CreatedNS),
-			Likes: p.Likes, Reposts: p.Reposts, HasMedia: p.HasMedia, AltText: p.AltText,
-		})
-	}
-	for _, d := range wb.Days {
-		b.Days = append(b.Days, DayActivity{
-			Date: timeOf(d.DateNS), ActiveUsers: d.ActiveUsers, Posts: d.Posts,
-			Likes: d.Likes, Reposts: d.Reposts, Follows: d.Follows, Blocks: d.Blocks,
-			ActiveByLang: d.ActiveByLang,
-		})
-	}
-	for _, l := range wb.Labels {
-		b.Labels = append(b.Labels, Label{
-			Src: l.Src, URI: l.URI, Val: l.Val, Neg: l.Neg, Kind: SubjectKind(l.Kind),
-			Applied: timeOf(l.AppliedNS), SubjectCreated: timeOf(l.SubjectNS), FreshSubject: l.Fresh,
-		})
-	}
-	for _, fg := range wb.FeedGens {
-		b.FeedGens = append(b.FeedGens, FeedGen{
-			URI: fg.URI, CreatorIdx: fg.CreatorIdx, Platform: fg.Platform,
-			DisplayName: fg.DisplayName, Description: fg.Description, Lang: fg.Lang,
-			CreatedAt: timeOf(fg.CreatedNS), Likes: fg.Likes, Posts: fg.Posts,
-			LastPost: timeOf(fg.LastPostNS), Reachable: fg.Reachable,
-			Personalized: fg.Personalized, LabeledShare: fg.LabeledShare, TopLabel: fg.TopLabel,
-		})
-	}
-	for _, d := range wb.Domains {
-		b.Domains = append(b.Domains, Domain{
-			Name: d.Name, IANAID: d.IANAID, RegistrarName: d.RegistrarName,
-			CCTLD: d.CCTLD, TrancoRank: d.TrancoRank, Subdomains: d.Subdomains,
-		})
-	}
-	for _, h := range wb.HandleUpdates {
-		b.HandleUpdates = append(b.HandleUpdates, HandleUpdate{
-			DID: h.DID, NewHandle: h.NewHandle, Time: timeOf(h.TimeNS),
-		})
-	}
-	return b
 }
 
 // streamGate delays secondary stream consumers until the primary

@@ -88,9 +88,17 @@ func TestFullNetworkEndToEnd(t *testing.T) {
 	// WHOIS registration for carol's domain.
 	net.RegisterDomain("example.com", whois.Registrar{IANAID: 1068, Name: "NameCheap, Inc."}, false)
 
-	// Wait for propagation through relay → appview.
+	// Wait for propagation through relay → appview. The feed
+	// generator record follows the post on the same repo stream, so a
+	// post count alone does not prove it has been indexed yet.
 	if err := net.WaitForAppView(1, 3*time.Second); err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(3 * time.Second); len(net.AppView.FeedGenerators()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("appview never indexed the feed generator record")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// --- Run the paper's pipeline over the live network. ---

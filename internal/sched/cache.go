@@ -20,9 +20,9 @@ import (
 // key by the partition's content hash when the manifest records one
 // ("c/<hash>/v<format>", elasticRun.unitKey) — so a payload cached
 // during one run satisfies any later run over *any* corpus containing
-// the same partition bytes at the same format, not just the corpus
-// that shipped it — and fall back to the fingerprint-scoped CacheKey
-// for older manifests. Either way the scheduler learns the worker's
+// the same partition bytes, not just the corpus that shipped it — and
+// fall back to a manifest-fingerprint-scoped key for manifests without
+// content hashes. Either way the scheduler learns the worker's
 // cached keys from describe and sends a key reference instead of the
 // bytes, turning a warm re-run's per-partition ship cost into a few
 // hundred bytes.
@@ -318,11 +318,4 @@ func (c *BlockCache) touchLocked(key string) {
 			return
 		}
 	}
-}
-
-// CacheKey composes the content address of one shipped partition
-// payload: the corpus manifest's fingerprint, the partition index, and
-// the block format version of the bytes.
-func CacheKey(fingerprint string, part, format int) string {
-	return fmt.Sprintf("%s/%d/v%d", fingerprint, part, format)
 }

@@ -81,16 +81,15 @@ func idLess(a, b unitID) bool {
 	return a.sub < b.sub
 }
 
-// unitRes is one unit's accepted evaluation result. state/format hold
-// the raw wire state for remote results (the cheap byte-equality path
-// when a speculative duplicate arrives at the same format); local
-// results carry only the triple.
+// unitRes is one unit's accepted evaluation result. state holds the
+// raw wire state for remote results (the cheap byte-equality path when
+// a speculative duplicate arrives); local results carry only the
+// triple.
 type unitRes struct {
 	world  *analysis.World
 	shards []analysis.Shard
 	tables *analysis.LabelTables
 	state  []byte
-	format int
 }
 
 // unit is one evaluation unit: a whole partition, or one contiguous
@@ -476,19 +475,11 @@ func (r *elasticRun) retire(wi int, reason string) {
 
 func (r *elasticRun) workerLoop(wi int) {
 	ctx := context.Background()
-	wf := r.s.workerFormat(ctx, wi)
-	if !r.s.ShipBlocks && r.s.storeFormat() > wf {
-		// The worker would fail on every block file, and store bytes
-		// can't be rewritten per worker: it is out for the run.
-		r.retire(wi, fmt.Sprintf("store is block format v%d but the worker reads ≤ v%d", r.s.storeFormat(), wf))
-		r.deactivate(wi)
-		return
-	}
 	if r.s.ShipBlocks {
 		r.resolveCache(ctx, wi)
 	}
 	for {
-		u, spec, wait, exit := r.claim(wi, wf)
+		u, spec, wait, exit := r.claim(wi)
 		if exit {
 			r.deactivate(wi)
 			return
@@ -500,7 +491,7 @@ func (r *elasticRun) workerLoop(wi int) {
 			}
 			continue
 		}
-		r.execute(ctx, wi, u, wf, spec)
+		r.execute(ctx, wi, u, spec)
 	}
 }
 
@@ -526,7 +517,7 @@ func (r *elasticRun) deactivate(wi int) {
 // default pull, preferring units whose payload this worker already
 // caches), a speculative duplicate of a straggling in-flight unit, a
 // timed wait, or loop exit when this worker can never help again.
-func (r *elasticRun) claim(wi, wf int) (u *unit, spec bool, wait time.Duration, exit bool) {
+func (r *elasticRun) claim(wi int) (u *unit, spec bool, wait time.Duration, exit bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.failed || !r.s.isHealthy(wi) {
@@ -537,7 +528,7 @@ func (r *elasticRun) claim(wi, wf int) (u *unit, spec bool, wait time.Duration, 
 		// Warm affinity: a unit this worker holds cached costs zero ship
 		// bytes here but a full payload anywhere else — claim it first.
 		for _, cand := range r.queue {
-			if !cand.failedOn[wi] && r.cached[wi][r.unitKey(cand, wf)] {
+			if !cand.failedOn[wi] && r.cached[wi][r.unitKey(cand)] {
 				pick = cand
 				break
 			}
@@ -655,17 +646,13 @@ func (r *elasticRun) describedLocked() bool {
 }
 
 // cachedElsewhereLocked reports whether some other healthy worker
-// holds u's payload cached (at that worker's own block format).
+// holds u's payload cached.
 func (r *elasticRun) cachedElsewhereLocked(u *unit, wi int) bool {
 	for wj := range r.s.Workers {
 		if wj == wi || !r.s.isHealthy(wj) || !r.cacheOK[wj] {
 			continue
 		}
-		wfj := int(r.s.formats[wj].Load())
-		if wfj <= 0 {
-			continue
-		}
-		if r.cached[wj][r.unitKey(u, wfj)] {
+		if r.cached[wj][r.unitKey(u)] {
 			return true
 		}
 	}
@@ -724,57 +711,48 @@ func (r *elasticRun) evalWorkers() int {
 // baseRequest builds the fields every request for u shares.
 func (r *elasticRun) baseRequest(u *unit) *EvalRequest {
 	return &EvalRequest{
-		Version:   ProtocolVersion,
-		Accs:      analysis.Fingerprint(r.accs),
-		Base:      u.info.Base,
-		Records:   &u.info.Records,
-		Workers:   r.evalWorkers(),
-		MaxFormat: core.DiskFormatVersion,
-		Range:     u.rng,
+		Version: ProtocolVersion,
+		Accs:    analysis.Fingerprint(r.accs),
+		Base:    u.info.Base,
+		Records: &u.info.Records,
+		Workers: r.evalWorkers(),
+		Range:   u.rng,
 	}
 }
 
-// unitKey addresses the exact payload unit u ships at format wf. A
-// manifest that records per-partition content hashes keys by them —
-// the same partition bytes in any corpus hit the same worker cache
-// entry, so re-sharded or re-spilled corpora warm-start across runs.
-// Hashless (pre-hash) manifests fall back to the fingerprint-scoped
-// CacheKey. Split sub-units ship sliced payloads, so their keys carry
-// the sub-range coordinates: a sub-unit's entry is never the parent's.
-func (r *elasticRun) unitKey(u *unit, wf int) string {
+// unitKey addresses the exact payload unit u ships. A manifest that
+// records per-partition content hashes keys by them — the same
+// partition bytes in any corpus hit the same worker cache entry, so
+// re-sharded or re-spilled corpora warm-start across runs. Hashless
+// manifests fall back to a manifest-fingerprint-scoped key. Split
+// sub-units ship sliced payloads, so their keys carry the sub-range
+// coordinates: a sub-unit's entry is never the parent's. The format
+// version suffix keeps a persistent cache from serving payloads of
+// another format.
+func (r *elasticRun) unitKey(u *unit) string {
 	prefix := fmt.Sprintf("%s/%d", r.fp, u.id.part)
 	if h := r.s.Corpus.Manifest.Partitions[u.id.part].ContentHash; h != "" {
 		prefix = "c/" + h
 	}
 	if u.rng != nil {
-		return fmt.Sprintf("%s/s%d.%d/v%d", prefix, u.id.sub, u.nsub, wf)
+		return fmt.Sprintf("%s/s%d.%d/v%d", prefix, u.id.sub, u.nsub, core.DiskFormatVersion)
 	}
-	return fmt.Sprintf("%s/v%d", prefix, wf)
+	return fmt.Sprintf("%s/v%d", prefix, core.DiskFormatVersion)
 }
 
-// shipUnitBlocks builds the framed block payload unit u ships at
-// format wf: the partition's blocks, sliced to the unit's sub-range
-// when it is one leg of a split (shipping a whole parent payload per
-// sub-unit re-sent the same megabytes nsub times), transcoded down for
-// an older worker, and LZ-compressed per frame when the format carries
-// the codec bit (v3+; CompressPartitionBlocks is a no-op below that,
-// so negotiation rides the formats exchange — a worker that advertises
-// v3 accepts compressed frames by definition).
-func (r *elasticRun) shipUnitBlocks(u *unit, wf int) ([]byte, error) {
+// shipUnitBlocks builds the framed block payload unit u ships: the
+// partition's blocks, sliced to the unit's sub-range when it is one
+// leg of a split (shipping a whole parent payload per sub-unit re-sent
+// the same megabytes nsub times), then LZ-compressed per frame.
+func (r *elasticRun) shipUnitBlocks(u *unit) ([]byte, error) {
 	blocks, err := ReadPartitionBlocks(r.s.Corpus, u.id.part)
 	if err != nil {
 		return nil, fmt.Errorf("sched: read partition %d blocks: %w", u.id.part, err)
 	}
 	if u.rng != nil {
-		blocks, err = core.ClipPartitionBlocks(blocks, *u.rng, r.s.storeFormat())
+		blocks, err = core.ClipPartitionBlocks(blocks, *u.rng)
 		if err != nil {
 			return nil, fmt.Errorf("sched: slice partition %d blocks to sub-range %s: %w", u.id.part, u.id, err)
-		}
-	}
-	if wf < r.s.storeFormat() {
-		blocks, err = core.TranscodePartitionBlocks(blocks, wf)
-		if err != nil {
-			return nil, fmt.Errorf("sched: transcode partition %d blocks to format v%d: %w", u.id.part, wf, err)
 		}
 	}
 	blocks, err = core.CompressPartitionBlocks(blocks)
@@ -787,7 +765,7 @@ func (r *elasticRun) shipUnitBlocks(u *unit, wf int) ([]byte, error) {
 // execute runs unit u on worker wi: build the request (cache-aware),
 // evaluate — overlapping a prefetch push of the next queued unit's
 // blocks — re-ship inline on a cache miss, validate, deliver.
-func (r *elasticRun) execute(ctx context.Context, wi int, u *unit, wf int, spec bool) {
+func (r *elasticRun) execute(ctx context.Context, wi int, u *unit, spec bool) {
 	w := r.s.Workers[wi]
 	// Each attempt gets its own cancelable context: when another runner
 	// delivers this unit first, the loser is canceled so a straggler's
@@ -798,16 +776,16 @@ func (r *elasticRun) execute(ctx context.Context, wi int, u *unit, wf int, spec 
 	u.cancels[wi] = cancel
 	r.mu.Unlock()
 	start := time.Now() //lint:walltime eval duration feeds the speculation threshold; placement only
-	state, err := r.attempt(ctx, wi, u, wf, false)
+	state, err := r.attempt(ctx, wi, u, false)
 	if err != nil {
 		if xe, ok := isCacheMiss(err); ok {
 			r.s.Stats.CacheMisses.Add(1)
-			key := r.unitKey(u, wf)
+			key := r.unitKey(u)
 			r.mu.Lock()
 			delete(r.cached[wi], key)
 			r.mu.Unlock()
 			r.s.event("cache-miss", w.Name(), u.id, "worker cannot serve %s (%s); re-shipping inline", key, xe.Message)
-			state, err = r.attempt(ctx, wi, u, wf, true)
+			state, err = r.attempt(ctx, wi, u, true)
 		}
 	}
 	if err != nil {
@@ -849,7 +827,7 @@ func (r *elasticRun) execute(ctx context.Context, wi int, u *unit, wf int, spec 
 		return
 	}
 	dur := time.Since(start) //lint:walltime eval duration feeds the speculation threshold; placement only
-	r.deliver(wi, u, &unitRes{world: world, shards: shards, tables: tables, state: state, format: wf}, dur, spec)
+	r.deliver(wi, u, &unitRes{world: world, shards: shards, tables: tables, state: state}, dur, spec)
 }
 
 // fallbackError routes a unit to local evaluation without blaming the
@@ -860,7 +838,7 @@ func (e *fallbackError) Error() string { return e.reason }
 
 // attempt performs one evaluation RPC. forceInline bypasses the
 // cache-reference path after a miss.
-func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, wf int, forceInline bool) ([]byte, error) {
+func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, forceInline bool) ([]byte, error) {
 	w := r.s.Workers[wi]
 	req := r.baseRequest(u)
 	limit := r.s.maxShip()
@@ -870,15 +848,15 @@ func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, wf int, force
 		var key string
 		r.mu.Lock()
 		if r.cacheOK[wi] {
-			key = r.unitKey(u, wf)
+			key = r.unitKey(u)
 			keyOnly = !forceInline && r.cached[wi][key]
 		}
 		r.mu.Unlock()
 		req.CacheKey = key
 		if !keyOnly {
-			blocks, err := r.shipUnitBlocks(u, wf)
+			blocks, err := r.shipUnitBlocks(u)
 			if err != nil {
-				r.failRun(err) // local read/slice/transcode failure: the run is wrong, not the worker
+				r.failRun(err) // local read/slice/compress failure: the run is wrong, not the worker
 				return nil, err
 			}
 			req.Blocks = blocks
@@ -898,11 +876,6 @@ func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, wf int, force
 		return nil, err
 	}
 	if r.s.ShipBlocks && len(body) > limit {
-		if wf < r.s.storeFormat() {
-			// The downgrade inflated the payload past the bound; the
-			// worker can never take this unit.
-			return nil, fmt.Errorf("downgraded format-v%d request of %d bytes exceeds the %d-byte ship bound", wf, len(body), limit)
-		}
 		if r.s.NoFallback {
 			err := fmt.Errorf("sched: partition %d request of %d bytes exceeds the %d-byte ship bound", u.id.part, len(body), limit)
 			r.failRun(err)
@@ -925,7 +898,7 @@ func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, wf int, force
 	// Overlap the next unit's ship with this evaluation: push its
 	// blocks into the worker's cache while the worker computes.
 	if r.s.ShipBlocks && !r.s.NoPrefetch && !forceInline {
-		r.prefetch(ctx, wi, wf)
+		r.prefetch(ctx, wi)
 	}
 	out := <-done
 	if out.err != nil {
@@ -955,7 +928,7 @@ func isCacheMiss(err error) (*xrpc.Error, bool) {
 // worker wi's cache — at most one push per eval, bounded by the
 // prefetch budget. Failures only cost the optimization: the unit ships
 // inline when claimed.
-func (r *elasticRun) prefetch(ctx context.Context, wi, wf int) {
+func (r *elasticRun) prefetch(ctx context.Context, wi int) {
 	cw, ok := r.s.Workers[wi].(CacheWorker)
 	if !ok {
 		return
@@ -977,7 +950,7 @@ func (r *elasticRun) prefetch(ctx context.Context, wi, wf int) {
 			if u.failedOn[wi] {
 				continue
 			}
-			k := r.unitKey(u, wf)
+			k := r.unitKey(u)
 			if r.cached[wi][k] || r.prefTried[wi][k] {
 				continue
 			}
@@ -997,7 +970,7 @@ func (r *elasticRun) prefetch(ctx context.Context, wi, wf int) {
 	if target == nil {
 		return
 	}
-	blocks, err := r.shipUnitBlocks(target, wf)
+	blocks, err := r.shipUnitBlocks(target)
 	if err != nil || len(blocks) > budget || len(blocks) > r.s.maxShip() {
 		return
 	}
@@ -1136,13 +1109,10 @@ func (r *elasticRun) runnerName(wi int) string {
 	return r.s.Workers[wi].Name()
 }
 
-// statesEqual cross-checks two results for one unit. Raw wire bytes
-// compare directly when both results carry them at one format;
-// otherwise both canonicalize through the state codec first.
+// statesEqual cross-checks two results for one unit by their wire
+// state bytes; a local result, which carries no raw state, is
+// marshaled through the state codec first.
 func (r *elasticRun) statesEqual(a, b *unitRes) (bool, error) {
-	if a.state != nil && b.state != nil && a.format == b.format {
-		return bytes.Equal(a.state, b.state), nil
-	}
 	ca, err := r.canonState(a)
 	if err != nil {
 		return false, err
@@ -1155,10 +1125,10 @@ func (r *elasticRun) statesEqual(a, b *unitRes) (bool, error) {
 }
 
 func (r *elasticRun) canonState(res *unitRes) ([]byte, error) {
-	if res.state != nil && res.format == core.DiskFormatVersion {
+	if res.state != nil {
 		return res.state, nil
 	}
-	return analysis.MarshalPartitionStateFormat(r.accs, res.world, res.shards, res.tables, core.DiskFormatVersion)
+	return analysis.MarshalPartitionState(r.accs, res.world, res.shards, res.tables)
 }
 
 // ---- local fallback executors ----

@@ -381,12 +381,6 @@ func (w *delayedWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
 	time.Sleep(w.delay)
 	return w.inner.Eval(ctx, req)
 }
-func (w *delayedWorker) BlockFormats(ctx context.Context) ([]int, error) {
-	if fw, ok := w.inner.(FormatsWorker); ok {
-		return fw.BlockFormats(ctx)
-	}
-	return []int{1}, nil
-}
 
 // TestElasticSpeculationCoversStraggler is the speculation half of the
 // acceptance gate: with one worker delaying every evaluation ~100×,
@@ -446,9 +440,6 @@ func (w *divergingWorker) Eval(ctx context.Context, body []byte) ([]byte, error)
 		return nil, err
 	}
 	return w.inner.Eval(ctx, mutated)
-}
-func (w *divergingWorker) BlockFormats(ctx context.Context) ([]int, error) {
-	return w.inner.BlockFormats(ctx)
 }
 
 // shadowCorpus writes a corpus structurally identical to the test
@@ -662,7 +653,7 @@ func TestElasticCrossCorpusCacheSharing(t *testing.T) {
 	m2 := *a.Manifest
 	m2.Partitions = append([]core.PartitionInfo(nil), a.Manifest.Partitions...)
 	m2.Seed = a.Manifest.Seed + 1
-	if err := core.WriteManifestVersion(dirB, &m2, a.Version); err != nil {
+	if err := core.WriteManifest(dirB, &m2); err != nil {
 		t.Fatal(err)
 	}
 	b, err := core.OpenCorpus(dirB)

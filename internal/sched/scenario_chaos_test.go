@@ -32,13 +32,6 @@ func (w *chaosKilledWorker) Eval(ctx context.Context, req []byte) ([]byte, error
 	return w.inner.Eval(ctx, req)
 }
 
-func (w *chaosKilledWorker) BlockFormats(ctx context.Context) ([]int, error) {
-	if fw, ok := w.inner.(sched.FormatsWorker); ok {
-		return fw.BlockFormats(ctx)
-	}
-	return []int{1}, nil
-}
-
 // chaosSlowWorker defers every evaluation — the injected straggler the
 // speculation path races against.
 type chaosSlowWorker struct {
@@ -51,13 +44,6 @@ func (w *chaosSlowWorker) Name() string { return w.inner.Name() + "-slow" }
 func (w *chaosSlowWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
 	time.Sleep(w.delay)
 	return w.inner.Eval(ctx, req)
-}
-
-func (w *chaosSlowWorker) BlockFormats(ctx context.Context) ([]int, error) {
-	if fw, ok := w.inner.(sched.FormatsWorker); ok {
-		return fw.BlockFormats(ctx)
-	}
-	return []int{1}, nil
 }
 
 func spillScenario(t *testing.T, s *scenario.Scenario) *core.Corpus {

@@ -62,14 +62,6 @@ type Worker interface {
 	Eval(ctx context.Context, req []byte) ([]byte, error)
 }
 
-// FormatsWorker is the optional Worker capability that reports which
-// partition block-file formats the worker reads. Workers that don't
-// implement it — or whose query fails — are treated as format-1-only,
-// which is always safe: every build reads format 1.
-type FormatsWorker interface {
-	BlockFormats(ctx context.Context) ([]int, error)
-}
-
 // CacheInfo reports a worker's block-cache capability: whether it
 // keeps one, which CacheKey values it already holds, and how many
 // payload bytes they cover.
@@ -116,20 +108,6 @@ func (w *xrpcWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
 	return w.c.ProcedureRaw(ctx, NSIDEvalPartition, nil, ContentTypeCBOR, req)
 }
 
-// BlockFormats implements FormatsWorker by asking the daemon's
-// describe query. A pre-v2 daemon answers without a formats field;
-// that means it predates the columnar codec and reads only format 1.
-func (w *xrpcWorker) BlockFormats(ctx context.Context) ([]int, error) {
-	var dr DescribeResponse
-	if err := w.c.Query(ctx, NSIDDescribe, nil, &dr); err != nil {
-		return nil, err
-	}
-	if len(dr.Formats) == 0 {
-		return []int{1}, nil
-	}
-	return dr.Formats, nil
-}
-
 // CacheInfo implements CacheWorker via the describe query; a daemon
 // without a cache (or predating one) answers with Enabled false.
 func (w *xrpcWorker) CacheInfo(ctx context.Context) (CacheInfo, error) {
@@ -159,8 +137,9 @@ type Scheduler struct {
 	// the authority on placement (manifest bases and record counts),
 	// and the fallback execution site.
 	Corpus *core.Corpus
-	// Workers are the placement targets, tried round-robin by
-	// partition index.
+	// Workers are the placement targets. Every healthy worker claims
+	// units from one shared pull queue (elastic.go), so a fast worker
+	// drains a slow one's backlog.
 	Workers []Worker
 	// ShipBlocks streams each partition's framed block bytes inside the
 	// request instead of sending a store reference — required when
@@ -205,12 +184,6 @@ type Scheduler struct {
 
 	initOnce  sync.Once
 	unhealthy []atomic.Bool
-	// formats caches each worker's highest readable block format,
-	// resolved lazily through FormatsWorker (0 = not yet queried). A
-	// worker pinned at a lower format than the store gets its shipped
-	// blocks transcoded down; in store-reference mode it is retired,
-	// since the store bytes can't be rewritten per worker.
-	formats []atomic.Int32
 	// run is the elastic placement state, created by the first
 	// partition registration; one Scheduler drives one run.
 	runMu sync.Mutex
@@ -255,9 +228,6 @@ func (s *Scheduler) init() {
 	s.initOnce.Do(func() {
 		if s.unhealthy == nil {
 			s.unhealthy = make([]atomic.Bool, len(s.Workers))
-		}
-		if s.formats == nil {
-			s.formats = make([]atomic.Int32, len(s.Workers))
 		}
 	})
 }
@@ -336,37 +306,6 @@ func (s *Scheduler) maxShip() int {
 		return s.shipLimit
 	}
 	return MaxShipBytes
-}
-
-// storeFormat is the corpus' block format (manifest-declared; stores
-// written before versioned manifests count as format 1).
-func (s *Scheduler) storeFormat() int {
-	if s.Corpus.Version < 1 {
-		return 1
-	}
-	return s.Corpus.Version
-}
-
-// workerFormat resolves — and caches for the run — worker wi's highest
-// readable block format, clamped to what this build can produce. A
-// failed query pins the worker at format 1: wasteful (its shipped
-// blocks get transcoded down) but never wrong.
-func (s *Scheduler) workerFormat(ctx context.Context, wi int) int {
-	if v := s.formats[wi].Load(); v > 0 {
-		return int(v)
-	}
-	maxF := 1
-	if fw, ok := s.Workers[wi].(FormatsWorker); ok {
-		if fs, err := fw.BlockFormats(ctx); err == nil {
-			for _, f := range fs {
-				if f > maxF && f <= core.DiskFormatVersion {
-					maxF = f
-				}
-			}
-		}
-	}
-	s.formats[wi].Store(int32(maxF))
-	return maxF
 }
 
 // evalPartition places one partition through the run's elastic

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -290,209 +289,5 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 		if _, err := srv.EvalPartition(data); err == nil {
 			t.Errorf("%s: hostile request accepted", name)
 		}
-	}
-}
-
-// spillNVersion is spillN at an explicit block format version.
-func spillNVersion(t *testing.T, n, version int) *core.Corpus {
-	t.Helper()
-	parts, m := core.Split(testDS(), n)
-	dir := t.TempDir()
-	if err := core.WriteCorpusVersion(dir, parts, m, version); err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.OpenCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// v1OnlyWorker simulates a pre-columnar worker build: it advertises
-// block format 1 only, rejects any shipped blocks or store written at
-// a newer format (the way the old build's version gate would), and
-// strips MaxFormat before delegating — so the wrapped current server
-// answers with format-1 state, exactly like a real v1 daemon.
-type v1OnlyWorker struct {
-	inner *Loopback
-
-	mu  sync.Mutex
-	saw []int // header version of every shipped payload accepted
-}
-
-func (w *v1OnlyWorker) Name() string { return w.inner.Name() + "-v1only" }
-
-func (w *v1OnlyWorker) BlockFormats(context.Context) ([]int, error) { return []int{1}, nil }
-
-func (w *v1OnlyWorker) Eval(ctx context.Context, body []byte) ([]byte, error) {
-	var req EvalRequest
-	if err := cbor.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if len(req.Blocks) > 0 {
-		if len(req.Blocks) < 12 {
-			return nil, errors.New("short block payload")
-		}
-		v := int(binary.BigEndian.Uint32(req.Blocks[8:12]))
-		if v > 1 {
-			return nil, fmt.Errorf("partition store version %d not supported", v)
-		}
-		w.mu.Lock()
-		w.saw = append(w.saw, v)
-		w.mu.Unlock()
-	}
-	if req.Store != "" {
-		if _, v, err := core.ReadManifestVersion(req.Store); err != nil {
-			return nil, err
-		} else if v > 1 {
-			return nil, fmt.Errorf("store version %d not supported", v)
-		}
-	}
-	req.MaxFormat = 0
-	stripped, err := cbor.Marshal(&req)
-	if err != nil {
-		return nil, err
-	}
-	return w.inner.Eval(ctx, stripped)
-}
-
-// TestShipBlocksDowngradeParity pins the negotiation contract in
-// shipping mode: against a v2 store, a worker that only reads format
-// 1 gets each partition's blocks transcoded down before shipping — it
-// serves every partition itself, stays healthy, and the folded output
-// stays byte-identical to the golden.
-func TestShipBlocksDowngradeParity(t *testing.T) {
-	c := spillN(t, 4)
-	if c.Version != core.DiskFormatVersion {
-		t.Fatalf("test store is format v%d, want v%d", c.Version, core.DiskFormatVersion)
-	}
-	srv := &Server{}
-	old := &v1OnlyWorker{inner: &Loopback{Server: srv, Label: "w0"}}
-	s := New(c, old)
-	s.ShipBlocks = true
-	s.Logf = t.Logf
-	got, err := s.RunAll(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareToGolden(t, "ship-downgrade", got)
-	if srv.Evals() != 4 {
-		t.Fatalf("v1-only worker served %d evaluations, want 4 (fallback stole its work)", srv.Evals())
-	}
-	if !s.isHealthy(0) {
-		t.Fatal("downgraded worker was retired")
-	}
-	old.mu.Lock()
-	defer old.mu.Unlock()
-	if len(old.saw) != 4 {
-		t.Fatalf("worker accepted %d shipped payloads, want 4", len(old.saw))
-	}
-	for _, v := range old.saw {
-		if v != 1 {
-			t.Fatalf("worker received format-v%d blocks, want transcoded v1", v)
-		}
-	}
-}
-
-// TestStoreModeRetiresIncompatibleWorker pins the other negotiation
-// arm: in store-reference mode a v2 store cannot be rewritten per
-// worker, so a format-1-only worker is retired — loudly — before any
-// request reaches it, and the rest of the fleet absorbs its share.
-func TestStoreModeRetiresIncompatibleWorker(t *testing.T) {
-	c := spillN(t, 4)
-	oldSrv, curSrv := &Server{}, &Server{}
-	old := &v1OnlyWorker{inner: &Loopback{Server: oldSrv, Label: "w0"}}
-	var mu sync.Mutex
-	var logs []string
-	s := New(c, old, &Loopback{Server: curSrv, Label: "w1"})
-	s.Logf = func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	got, err := s.RunAll(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareToGolden(t, "store-retire", got)
-	if oldSrv.Evals() != 0 {
-		t.Fatalf("incompatible worker served %d evaluations, want 0", oldSrv.Evals())
-	}
-	if curSrv.Evals() != 4 {
-		t.Fatalf("surviving worker served %d evaluations, want 4", curSrv.Evals())
-	}
-	mu.Lock()
-	joined := strings.Join(logs, "\n")
-	mu.Unlock()
-	if !strings.Contains(joined, "block format") {
-		t.Fatalf("retirement log does not name the format mismatch:\n%s", joined)
-	}
-
-	// With the incompatible worker alone, the run must still complete
-	// through the local fallback, byte-identical.
-	s2 := New(c, &v1OnlyWorker{inner: &Loopback{Server: &Server{}, Label: "w0"}})
-	s2.Logf = t.Logf
-	got2, err := s2.RunAll(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareToGolden(t, "store-retire-fallback", got2)
-}
-
-// TestRemoteParityV1Store pins the old-store path: a format-1 store
-// evaluated through current workers, in both shipping modes, ships
-// its v1 bytes untouched and stays byte-identical to the golden.
-func TestRemoteParityV1Store(t *testing.T) {
-	c := spillNVersion(t, 4, 1)
-	for _, ship := range []bool{false, true} {
-		s := New(c, &Loopback{Server: &Server{}, Label: "w0"})
-		s.ShipBlocks = ship
-		s.NoFallback = true
-		got, err := s.RunAll(2)
-		if err != nil {
-			t.Fatalf("ship=%v: %v", ship, err)
-		}
-		compareToGolden(t, fmt.Sprintf("v1-store ship=%v", ship), got)
-	}
-}
-
-// staticFormatsWorker reports a fixed format list and counts queries.
-type staticFormatsWorker struct {
-	Worker
-	formats []int
-	calls   atomic.Int32
-}
-
-func (w *staticFormatsWorker) BlockFormats(context.Context) ([]int, error) {
-	w.calls.Add(1)
-	return w.formats, nil
-}
-
-// TestWorkerFormatResolution pins the capability plumbing: Loopback
-// reports every format up to this build's max; a FormatsWorker answer
-// is clamped to that max; a plain Worker defaults to format 1; and
-// the resolution is cached — one query per worker per run.
-func TestWorkerFormatResolution(t *testing.T) {
-	ctx := context.Background()
-	lb := &Loopback{Server: &Server{}}
-	fs, err := lb.BlockFormats(ctx)
-	if err != nil || len(fs) == 0 || fs[0] != 1 || fs[len(fs)-1] != core.DiskFormatVersion {
-		t.Fatalf("Loopback formats = %v, %v; want 1..%d", fs, err, core.DiskFormatVersion)
-	}
-	future := &staticFormatsWorker{Worker: lb, formats: []int{1, core.DiskFormatVersion + 97}}
-	s := New(spillN(t, 1), lb, future, &dyingWorker{inner: lb})
-	s.init()
-	if got := s.workerFormat(ctx, 0); got != core.DiskFormatVersion {
-		t.Fatalf("Loopback resolved to format %d, want %d", got, core.DiskFormatVersion)
-	}
-	if got := s.workerFormat(ctx, 1); got != 1 {
-		t.Fatalf("future-format worker resolved to %d, want 1 (unknown formats don't count)", got)
-	}
-	if got := s.workerFormat(ctx, 2); got != 1 {
-		t.Fatalf("plain worker resolved to format %d, want 1", got)
-	}
-	s.workerFormat(ctx, 1)
-	if n := future.calls.Load(); n != 1 {
-		t.Fatalf("format queried %d times, want 1 (cached)", n)
 	}
 }

@@ -58,17 +58,6 @@ const ProtocolVersion = 1
 // worker-side request body limit.
 const MaxShipBytes = 256 << 20
 
-// SupportedBlockFormats lists the partition block-file format versions
-// this build reads and writes, ascending — what describe advertises
-// so schedulers can downgrade shipped blocks per worker.
-func SupportedBlockFormats() []int {
-	out := make([]int, 0, core.DiskFormatVersion)
-	for v := 1; v <= core.DiskFormatVersion; v++ {
-		out = append(out, v)
-	}
-	return out
-}
-
 // EvalRequest is the evalPartition input: which partition to evaluate,
 // where its blocks live, and the corpus placement the level-two fold
 // assumes. Exactly one of Store (a partition store directory the
@@ -87,13 +76,9 @@ type EvalRequest struct {
 	Records *core.CollectionCounts `cbor:"records,omitempty"`
 	// Workers is the traversal worker count (0 = the server's default).
 	Workers int `cbor:"workers,omitempty"`
-	// MaxFormat is the highest block format version the scheduler
-	// decodes; the worker encodes the returned state's embedded world
-	// block at min(MaxFormat, its own max). 0 (a pre-v2 scheduler that
-	// never sends the field) means format 1.
-	MaxFormat int `cbor:"maxFormat,omitempty"`
 	// CacheKey names the partition payload in the worker's block cache
-	// (CacheKey function: manifest fingerprint + partition + format).
+	// (elasticRun.unitKey: content hash or manifest fingerprint, plus
+	// sub-range and format).
 	// With inline Blocks it asks the worker to cache them after use;
 	// alone — no Blocks, no Store — it asks the worker to evaluate
 	// straight from its cache, answering CacheMissName when it can't.
@@ -124,10 +109,6 @@ type PutBlocksResponse struct {
 type DescribeResponse struct {
 	Evals     int64  `json:"evals"`
 	StoreRoot string `json:"storeRoot,omitempty"`
-	// Formats lists the block format versions this worker reads,
-	// ascending. Absent on pre-v2 workers, which a scheduler must
-	// treat as format-1-only.
-	Formats []int `json:"formats,omitempty"`
 	// CacheEnabled reports whether the worker runs a block cache
 	// (accepts putBlocks and CacheKey-only evaluations).
 	CacheEnabled bool `json:"cacheEnabled,omitempty"`
@@ -184,7 +165,7 @@ func (s *Server) Mux() *xrpc.Mux {
 
 // Describe assembles the describe query's answer.
 func (s *Server) Describe() *DescribeResponse {
-	dr := &DescribeResponse{Evals: s.Evals(), StoreRoot: s.StoreRoot, Formats: SupportedBlockFormats()}
+	dr := &DescribeResponse{Evals: s.Evals(), StoreRoot: s.StoreRoot}
 	if s.Cache != nil {
 		dr.CacheEnabled = true
 		dr.Cached = s.Cache.Keys()
@@ -194,10 +175,10 @@ func (s *Server) Describe() *DescribeResponse {
 }
 
 // PutBlocks stores one prefetched partition payload in the cache. The
-// payload's frame header is validated (magic + a known format version)
-// before storing — the cache never holds bytes that could not have
-// come from a partition store; the per-frame checksums are verified at
-// evaluation time like any shipped payload.
+// payload's frame header is validated (magic + the current format
+// version) before storing — the cache never holds bytes that could not
+// have come from a partition store; the per-frame checksums are
+// verified at evaluation time like any shipped payload.
 func (s *Server) PutBlocks(input []byte) (*PutBlocksResponse, error) {
 	if s.Cache == nil {
 		return nil, xrpc.ErrInvalidRequest("worker runs no block cache")
@@ -249,14 +230,7 @@ func (s *Server) EvalPartition(input []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	blockFormat := req.MaxFormat
-	if blockFormat < 1 {
-		blockFormat = 1 // pre-v2 schedulers never send the field
-	}
-	if blockFormat > core.DiskFormatVersion {
-		blockFormat = core.DiskFormatVersion
-	}
-	state, err := eng.SnapshotFormat(src, blockFormat)
+	state, err := eng.Snapshot(src)
 	if err != nil {
 		return nil, xrpc.ErrInternal("evaluate partition: %v", err)
 	}
@@ -378,12 +352,6 @@ func (l *Loopback) Name() string {
 // Eval implements Worker.
 func (l *Loopback) Eval(_ context.Context, req []byte) ([]byte, error) {
 	return l.Server.EvalPartition(req)
-}
-
-// BlockFormats implements FormatsWorker: an in-process worker reads
-// every format this build does.
-func (l *Loopback) BlockFormats(context.Context) ([]int, error) {
-	return SupportedBlockFormats(), nil
 }
 
 // CacheInfo implements CacheWorker straight off the server's cache.

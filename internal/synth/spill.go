@@ -79,7 +79,7 @@ func GeneratePartitionedTo(cfg Config, n int, dir string, workers int) (*core.Ma
 				}
 				snaps[k] = snapshot{ds.PartitionInfo(k), ds.WindowStart, ds.WindowEnd}
 				var hash string
-				hash, errs[k] = core.WritePartitionContent(filepath.Join(dir, core.PartitionFileName(k)), ds, 0, core.DiskFormatVersion)
+				hash, errs[k] = core.WritePartitionContent(filepath.Join(dir, core.PartitionFileName(k)), ds, 0)
 				snaps[k].info.ContentHash = hash
 			}
 		}()

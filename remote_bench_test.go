@@ -45,26 +45,19 @@ func BenchmarkRemoteEvaluation(b *testing.B) {
 		return float64(total) / (1 << 20)
 	}()
 
-	// shipMB prices the request-side wire volume per format: the bytes
-	// a ship-blocks run sends to the fleet with the store at its
-	// native format versus transcoded down to v1 — the shipped-bytes
-	// saving the columnar codec buys on the wire.
-	shipMB := func(version int) float64 {
+	// shipMB prices the request-side wire volume: the store bytes a
+	// ship-blocks run sends to the fleet.
+	shipMB := func() float64 {
 		total := 0
 		for k := range c.Manifest.Partitions {
 			blocks, err := sched.ReadPartitionBlocks(c, k)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if version != c.Version {
-				if blocks, err = core.TranscodePartitionBlocks(blocks, version); err != nil {
-					b.Fatal(err)
-				}
-			}
 			total += len(blocks)
 		}
 		return float64(total) / (1 << 20)
-	}
+	}()
 
 	runSched := func(b *testing.B, ship bool) {
 		for i := 0; i < b.N; i++ {
@@ -83,8 +76,7 @@ func BenchmarkRemoteEvaluation(b *testing.B) {
 		}
 		b.ReportMetric(stateMB, "state-bytes-MB")
 		if ship {
-			b.ReportMetric(shipMB(1), "ship-bytes-v1-MB")
-			b.ReportMetric(shipMB(c.Version), "ship-bytes-MB")
+			b.ReportMetric(shipMB, "ship-bytes-MB")
 		}
 	}
 	b.Run("loopback-store", func(b *testing.B) { runSched(b, false) })
