@@ -156,6 +156,7 @@ type elasticRun struct {
 	cacheOK   []bool            // worker accepts putBlocks / CacheKey
 	cached    []map[string]bool // keys known present per worker
 	prefTried []map[string]bool // prefetch keys already attempted
+	inflight  map[string]int    // key → worker a prefetch push of it is under way to
 
 	durN   int
 	durSum time.Duration
@@ -179,6 +180,7 @@ func newElasticRun(s *Scheduler, accs []analysis.Accumulator, workers int) *elas
 		cacheOK:   make([]bool, n),
 		cached:    make([]map[string]bool, n),
 		prefTried: make([]map[string]bool, n),
+		inflight:  make(map[string]int),
 	}
 	for i := range r.cached {
 		r.cached[i] = make(map[string]bool)
@@ -646,13 +648,17 @@ func (r *elasticRun) describedLocked() bool {
 }
 
 // cachedElsewhereLocked reports whether some other healthy worker
-// holds u's payload cached.
+// holds u's payload cached, or is being pushed it by a prefetch.
 func (r *elasticRun) cachedElsewhereLocked(u *unit, wi int) bool {
+	key := r.unitKey(u)
+	if wj, ok := r.inflight[key]; ok && wj != wi && r.s.isHealthy(wj) {
+		return true
+	}
 	for wj := range r.s.Workers {
 		if wj == wi || !r.s.isHealthy(wj) || !r.cacheOK[wj] {
 			continue
 		}
-		if r.cached[wj][r.unitKey(u)] {
+		if r.cached[wj][key] {
 			return true
 		}
 	}
@@ -961,7 +967,10 @@ func (r *elasticRun) prefetch(ctx context.Context, wi int) {
 			if r.cachedElsewhereLocked(u, wi) {
 				continue
 			}
+			// Reserve the key fleet-wide until the push ends, so no
+			// peer picks it meanwhile (cachedElsewhereLocked).
 			r.prefTried[wi][k] = true
+			r.inflight[k] = wi
 			target, key = u, k
 			break
 		}
@@ -971,16 +980,22 @@ func (r *elasticRun) prefetch(ctx context.Context, wi int) {
 		return
 	}
 	blocks, err := r.shipUnitBlocks(target)
-	if err != nil || len(blocks) > budget || len(blocks) > r.s.maxShip() {
-		return
-	}
-	if err := cw.PutBlocks(ctx, key, blocks); err != nil {
-		r.s.event("prefetch", r.s.Workers[wi].Name(), target.id, "push of %s failed: %v", key, err)
-		return
+	pushed := err == nil && len(blocks) <= budget && len(blocks) <= r.s.maxShip()
+	if pushed {
+		if err := cw.PutBlocks(ctx, key, blocks); err != nil {
+			r.s.event("prefetch", r.s.Workers[wi].Name(), target.id, "push of %s failed: %v", key, err)
+			pushed = false
+		}
 	}
 	r.mu.Lock()
-	r.cached[wi][key] = true
+	delete(r.inflight, key)
+	if pushed {
+		r.cached[wi][key] = true
+	}
 	r.mu.Unlock()
+	if !pushed {
+		return
+	}
 	r.s.Stats.Prefetches.Add(1)
 	r.s.Stats.ShippedBytes.Add(int64(len(blocks)))
 	r.s.event("prefetch", r.s.Workers[wi].Name(), target.id, "shipped %d bytes as %s ahead of claim", len(blocks), key)

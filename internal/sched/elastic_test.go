@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -364,6 +365,64 @@ func TestElasticCacheCorruptionReships(t *testing.T) {
 	}
 	if s.Stats.ShippedBytes.Load() == 0 {
 		t.Fatal("nothing was re-shipped after corruption")
+	}
+}
+
+// pushCounter records, per cache key, every worker a prefetch pushed
+// that key to, shared by the workers of one run.
+type pushCounter struct {
+	mu     sync.Mutex
+	pushes map[string][]string
+}
+
+// countingWorker is a cache-enabled loopback worker that reports each
+// PutBlocks to a shared pushCounter and holds the push for delay, which
+// widens the window in which a peer could pick the same key.
+type countingWorker struct {
+	*Loopback
+	counter *pushCounter
+	delay   time.Duration
+}
+
+func (w *countingWorker) PutBlocks(ctx context.Context, key string, blocks []byte) error {
+	w.counter.mu.Lock()
+	w.counter.pushes[key] = append(w.counter.pushes[key], w.Name())
+	w.counter.mu.Unlock()
+	time.Sleep(w.delay)
+	return w.Loopback.PutBlocks(ctx, key, blocks)
+}
+
+// TestElasticPrefetchReservesKeyFleetWide pins the prefetch
+// reservation: a key one worker has picked to prefetch is reserved for
+// the whole fleet until its push ends, so no key is pushed to two
+// workers of a cold run. The report bytes stay the golden's.
+func TestElasticPrefetchReservesKeyFleetWide(t *testing.T) {
+	c := spillN(t, 8)
+	counter := &pushCounter{pushes: map[string][]string{}}
+	var workers []Worker
+	for _, name := range []string{"w0", "w1"} {
+		cache, _ := NewBlockCache("", 1<<30)
+		workers = append(workers, &countingWorker{
+			Loopback: &Loopback{Server: &Server{Cache: cache}, Label: name},
+			counter:  counter,
+			delay:    20 * time.Millisecond,
+		})
+	}
+	s := New(c, workers...)
+	s.ShipBlocks = true
+	s.Logf = t.Logf
+	got, err := s.RunAll(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareToGolden(t, "elastic-prefetch", got)
+	for key, to := range counter.pushes {
+		if len(to) > 1 {
+			t.Errorf("key %s prefetched %d times, to %v", key, len(to), to)
+		}
+	}
+	if int(s.Stats.Prefetches.Load()) != len(counter.pushes) {
+		t.Errorf("stats count %d prefetches, workers saw %d keys", s.Stats.Prefetches.Load(), len(counter.pushes))
 	}
 }
 
