@@ -124,6 +124,7 @@ func TestFullEvaluationPathsAgree(t *testing.T) {
 // ---- Workload generation itself ----
 
 func BenchmarkWorldGeneration(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		synth.Generate(synth.Config{Scale: 2000, Seed: int64(i)})
 	}

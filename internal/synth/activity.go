@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -139,10 +138,11 @@ func genUsers(ds *core.Dataset, seed int64, sequential bool, didBase int64, head
 	// acquire proportionally to activity). The cumulative weights are
 	// RNG-free, so every shard shares them.
 	days := int(WindowEnd.Sub(LaunchDate).Hours() / 24)
+	signupDays := dayTable(LaunchDate, days)
 	weights := make([]float64, days)
 	var totalW float64
-	for i := 0; i < days; i++ {
-		weights[i] = DAU(LaunchDate.AddDate(0, 0, i))
+	for i, day := range signupDays {
+		weights[i] = DAU(day)
 		totalW += weights[i]
 	}
 	cum := make([]float64, days)
@@ -162,24 +162,26 @@ func genUsers(ds *core.Dataset, seed int64, sequential bool, didBase int64, head
 				hi = mid
 			}
 		}
-		return LaunchDate.AddDate(0, 0, lo)
+		return signupDays[lo]
 	}
 
-	maxFollowers := scaled(775_000, ds.Scale, 200) // the official account's 775K
+	// Degrees: bounded power laws; total follows scale-consistent.
+	followers := newPowerlaw(2.05, scaled(775_000, ds.Scale, 200)) // the official account's 775K
+	following := newPowerlaw(1.9, 8_000)
 	fill := func(shard int) {
 		rng := stageRNG(seed, stageUserShard0+uint64(shard))
 		lo, hi := n*shard/userShards, n*(shard+1)/userShards
+		var buf []byte
 		for i := lo; i < hi; i++ {
 			u := core.User{
-				DID:       fmt.Sprintf("did:plc:%024d", didBase+int64(i)),
+				DID:       padded(&buf, "did:plc:", didBase+int64(i), 24, ""),
 				CreatedAt: sampleDay(rng),
 			}
 			if rng.Float64() < postedShare {
 				u.Lang = pickLang(rng)
 			}
-			// Degrees: bounded power laws; total follows scale-consistent.
-			u.Followers = powerlawInt(rng, 2.05, maxFollowers) - 1
-			u.Following = powerlawInt(rng, 1.9, 8_000) - 1
+			u.Followers = followers.sample(rng) - 1
+			u.Following = following.sample(rng) - 1
 			users[i] = u
 		}
 	}
@@ -283,31 +285,44 @@ func genPosts(ds *core.Dataset, seed int64, sequential bool) {
 	const windowPostsTarget = 26_467_002 * 2 // Mar 6 – Apr 30 ≈ 2 April-months
 	n := scaled(windowPostsTarget, ds.Scale, 2_000)
 	posts := make([]core.Post, n)
-	windowDays := int(WindowEnd.Sub(WindowStart).Hours() / 24)
-	// Posting users, weighted by (tagged) language presence.
-	var posters []int
+	windowDays := dayTable(WindowStart, int(WindowEnd.Sub(WindowStart).Hours()/24))
+	// Posting users, weighted by (tagged) language presence. The dense
+	// table carries what a post copies from its author, so the shard
+	// loops never touch the (much wider) user records.
+	type poster struct {
+		idx          int
+		prefix, lang string // prefix: the author's post-URI stem
+	}
+	newPoster := func(i int) poster {
+		u := &ds.Users[i]
+		return poster{i, "at://" + u.DID + "/app.bsky.feed.post/3p", u.Lang}
+	}
+	var posters []poster
 	for i := range ds.Users {
 		if ds.Users[i].Lang != "" {
-			posters = append(posters, i)
+			posters = append(posters, newPoster(i))
 		}
 	}
 	if len(posters) == 0 {
-		posters = []int{0}
+		posters = []poster{newPoster(0)}
 	}
+	likes := newPowerlaw(2.3, 40_000)
+	reposts := newPowerlaw(2.6, 8_000)
 	fill := func(shard int) {
 		rng := stageRNG(seed, stagePostShard0+uint64(shard))
 		lo, hi := n*shard/postShards, n*(shard+1)/postShards
+		var buf []byte
 		for i := lo; i < hi; i++ {
-			author := posters[rng.Intn(len(posters))]
-			day := WindowStart.AddDate(0, 0, rng.Intn(windowDays))
+			author := &posters[rng.Intn(len(posters))]
+			day := windowDays[rng.Intn(len(windowDays))]
 			created := day.Add(time.Duration(rng.Int63n(int64(24 * time.Hour))))
 			p := core.Post{
-				URI:       fmt.Sprintf("at://%s/app.bsky.feed.post/3p%011d", ds.Users[author].DID, i),
-				AuthorIdx: author,
-				Lang:      ds.Users[author].Lang,
+				URI:       padded(&buf, author.prefix, int64(i), 11, ""),
+				AuthorIdx: author.idx,
+				Lang:      author.lang,
 				CreatedAt: created,
-				Likes:     powerlawInt(rng, 2.3, 40_000) - 1,
-				Reposts:   powerlawInt(rng, 2.6, 8_000) - 1,
+				Likes:     likes.sample(rng) - 1,
+				Reposts:   reposts.sample(rng) - 1,
 				HasMedia:  rng.Float64() < 0.32,
 			}
 			if p.HasMedia {

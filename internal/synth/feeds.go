@@ -129,8 +129,9 @@ func genFeedGens(ds *core.Dataset, rng *rand.Rand, anchorScale int) {
 		remaining -= size
 	}
 	// FG creators have low out-degree (§7.1).
+	following := newPowerlaw(2.6, 300)
 	for _, ci := range creators {
-		ds.Users[ci].Following = powerlawInt(rng, 2.6, 300)
+		ds.Users[ci].Following = following.sample(rng)
 	}
 
 	// Per-platform post/like budgets.

@@ -153,6 +153,7 @@ func genIdentity(ds *core.Dataset, rng *rand.Rand, tag string) {
 	cursor := 0
 	domCursor := 0
 	used := 0
+	var buf []byte
 	for _, ui := range altUsers {
 		for domCursor < len(domains) && used >= domains[domCursor].Subdomains {
 			domCursor++
@@ -164,7 +165,7 @@ func genIdentity(ds *core.Dataset, rng *rand.Rand, tag string) {
 			used++
 		}
 		u := &ds.Users[ui]
-		u.Handle = fmt.Sprintf("user%07d.%s", cursor, dom)
+		u.Handle = padded(&buf, "user", int64(cursor), 7, "."+dom)
 		u.DIDMethod = "plc"
 		if rng.Float64() < shareDNSTXT {
 			u.Proof = core.ProofDNSTXT
@@ -182,7 +183,7 @@ func genIdentity(ds *core.Dataset, rng *rand.Rand, tag string) {
 	}
 	for _, ui := range perm[altN:] {
 		u := &ds.Users[ui]
-		u.Handle = fmt.Sprintf("user%07d.bsky.social", ui)
+		u.Handle = padded(&buf, "user", int64(ui), 7, ".bsky.social")
 		u.DIDMethod = "plc"
 		u.Proof = core.ProofManaged
 	}
@@ -204,10 +205,10 @@ func genIdentity(ds *core.Dataset, rng *rand.Rand, tag string) {
 		ui := updaters[i%uniqueDIDs]
 		var newHandle string
 		if rng.Float64() < finalToBskyShare {
-			newHandle = fmt.Sprintf("renamed%06d.bsky.social", i)
+			newHandle = padded(&buf, "renamed", int64(i), 6, ".bsky.social")
 		} else {
 			dom := domains[rng.Intn(len(domains))].Name
-			newHandle = fmt.Sprintf("renamed%06d.%s", i, dom)
+			newHandle = padded(&buf, "renamed", int64(i), 6, "."+dom)
 		}
 		ds.HandleUpdates = append(ds.HandleUpdates, core.HandleUpdate{
 			DID:       ds.Users[ui].DID,

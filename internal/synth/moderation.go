@@ -284,19 +284,23 @@ func genLabels(ds *core.Dataset, rng *rand.Rand, seed int64, sequential bool, pa
 	histCount := scaled(1_800_000, ds.Scale, 900)
 	official := ds.Labelers[0]
 	days := int(WindowStart.Sub(OfficialLbl).Hours() / 24)
+	// One entry past the last day: pow can round f up to exactly 1.
+	labelDays := dayTable(OfficialLbl, days+1)
 	hist := make([]core.Label, histCount)
+	histPrefix := fmt.Sprintf("at://did:plc:historic%03d/app.bsky.feed.post/3h", part)
 	fill := func(shard int) {
 		srng := stageRNG(seed, stageHistShard0+uint64(shard))
 		lo, hi := histCount*shard/histShards, histCount*(shard+1)/histShards
+		var buf []byte
 		for i := lo; i < hi; i++ {
 			// Weight towards recent months (activity grew).
 			f := pow(srng.Float64(), 0.45)
-			day := OfficialLbl.AddDate(0, 0, int(f*float64(days)))
+			day := labelDays[int(f*float64(days))]
 			val := official.Values[srng.Intn(3)] // porn / sexual / nudity
 			created := day.Add(-secsDuration(int64(lognormal(srng, 600, 1.5))))
 			hist[i] = core.Label{
 				Src: official.DID, Val: val, Kind: core.SubjectPost,
-				URI:            fmt.Sprintf("at://did:plc:historic%03d/app.bsky.feed.post/3h%011d", part, i),
+				URI:            padded(&buf, histPrefix, int64(i), 11, ""),
 				SubjectCreated: created,
 				Applied:        day,
 			}

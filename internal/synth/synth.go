@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -305,26 +306,62 @@ func scaled(target, scale, minimum int) int {
 // lognormal samples a log-normal value with the given median and
 // geometric spread (sigma of the underlying normal).
 func lognormal(rng *rand.Rand, median float64, sigma float64) float64 {
-	return median * expApprox(rng.NormFloat64()*sigma)
+	return median * exp(rng.NormFloat64()*sigma)
 }
 
-func expApprox(x float64) float64 {
-	// math.Exp wrapped for clarity; kept separate for testability.
-	return exp(x)
+// powerlaw samples a discrete power-law value in [1, maxV] with
+// exponent alpha (>1) by inverse-CDF sampling of a bounded Pareto;
+// larger alpha = steeper tail. The terms that depend only on (alpha,
+// maxV) are computed once, so a sample costs one pow.
+type powerlaw struct {
+	maxV   int
+	c, inv float64
 }
 
-// powerlawInt samples a discrete power-law value in [1, max] with
-// exponent alpha (>1); larger alpha = steeper tail.
-func powerlawInt(rng *rand.Rand, alpha float64, maxV int) int {
-	// Inverse-CDF sampling of a bounded Pareto.
+func newPowerlaw(alpha float64, maxV int) powerlaw {
+	return powerlaw{maxV: maxV, c: 1 - pow(float64(maxV), 1-alpha), inv: 1 / (1 - alpha)}
+}
+
+func (p powerlaw) sample(rng *rand.Rand) int {
 	u := rng.Float64()
-	x := pow(1-u*(1-pow(float64(maxV), 1-alpha)), 1/(1-alpha))
+	x := pow(1-u*p.c, p.inv)
 	n := int(x)
 	if n < 1 {
 		n = 1
 	}
-	if n > maxV {
-		n = maxV
+	if n > p.maxV {
+		n = p.maxV
 	}
 	return n
+}
+
+// appendZeroPad appends the decimal form of v (≥0), left-padded with
+// zeros to width digits — fmt's %0*d without fmt; a wider v keeps all
+// its digits.
+func appendZeroPad(dst []byte, v int64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], v, 10)
+	for i := len(d); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
+}
+
+// padded returns prefix + v zero-padded to width + suffix, built in
+// *buf, which the per-record loops reuse across records.
+func padded(buf *[]byte, prefix string, v int64, width int, suffix string) string {
+	b := append((*buf)[:0], prefix...)
+	b = appendZeroPad(b, v, width)
+	b = append(b, suffix...)
+	*buf = b
+	return string(b)
+}
+
+// dayTable returns the midnights of the n days from start on.
+func dayTable(start time.Time, n int) []time.Time {
+	days := make([]time.Time, n)
+	for i := range days {
+		days[i] = start.AddDate(0, 0, i)
+	}
+	return days
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -465,5 +466,40 @@ func TestGenerationSpeed(t *testing.T) {
 	Generate(Config{Scale: 400, Seed: 9})
 	if d := time.Since(start); d > 30*time.Second {
 		t.Fatalf("generation at 1:400 took %v", d)
+	}
+}
+
+// TestAppendZeroPadMatchesFmt pins the per-record formatting helper to
+// the fmt verb it replaced, so identifiers keep their exact bytes.
+func TestAppendZeroPadMatchesFmt(t *testing.T) {
+	type tc struct {
+		v int64
+		w int
+	}
+	cases := []tc{
+		{0, 0}, {0, 1}, {0, 7}, {0, 24},
+		{123456, 7}, {1234567, 7}, {12345678, 7}, // one short, exact, wider
+		{12345, 6}, {123456, 6}, {1234567, 6},
+		{9_999_999_999, 11}, {99_999_999_999, 11}, {999_999_999_999, 11},
+		{7, 3}, {1234, 3},
+		{math.MaxInt64, 24}, {math.MaxInt64, 3},
+	}
+	for k := int64(0); k < 4; k++ {
+		for _, i := range []int64{0, 1, 499, 27_619} {
+			cases = append(cases, tc{k*didPartitionStride + i, 24})
+		}
+	}
+	for _, c := range cases {
+		want := fmt.Sprintf("%0*d", c.w, c.v)
+		if got := string(appendZeroPad([]byte("x"), c.v, c.w)); got != "x"+want {
+			t.Errorf("appendZeroPad(%d, %d) = %q, want %q", c.v, c.w, got[1:], want)
+		}
+	}
+	var buf []byte
+	if got, want := padded(&buf, "did:plc:", 3*didPartitionStride+42, 24, ""), fmt.Sprintf("did:plc:%024d", 3*didPartitionStride+42); got != want {
+		t.Errorf("padded DID = %q, want %q", got, want)
+	}
+	if got, want := padded(&buf, "user", 12, 7, ".bsky.social"), fmt.Sprintf("user%07d.bsky.social", 12); got != want {
+		t.Errorf("padded handle = %q, want %q", got, want)
 	}
 }
