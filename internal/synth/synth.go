@@ -335,24 +335,18 @@ func (p powerlaw) sample(rng *rand.Rand) int {
 	return n
 }
 
-// appendZeroPad appends the decimal form of v (≥0), left-padded with
-// zeros to width digits — fmt's %0*d without fmt; a wider v keeps all
-// its digits.
-func appendZeroPad(dst []byte, v int64, width int) []byte {
+// padded returns prefix + v + suffix with v (≥0) in decimal,
+// left-padded with zeros to width digits — fmt's %0*d without fmt; a
+// wider v keeps all its digits. It builds the string in *buf, which
+// the per-record loops reuse across records.
+func padded(buf *[]byte, prefix string, v int64, width int, suffix string) string {
 	var digits [20]byte
 	d := strconv.AppendInt(digits[:0], v, 10)
-	for i := len(d); i < width; i++ {
-		dst = append(dst, '0')
-	}
-	return append(dst, d...)
-}
-
-// padded returns prefix + v zero-padded to width + suffix, built in
-// *buf, which the per-record loops reuse across records.
-func padded(buf *[]byte, prefix string, v int64, width int, suffix string) string {
 	b := append((*buf)[:0], prefix...)
-	b = appendZeroPad(b, v, width)
-	b = append(b, suffix...)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	b = append(append(b, d...), suffix...)
 	*buf = b
 	return string(b)
 }

@@ -469,9 +469,9 @@ func TestGenerationSpeed(t *testing.T) {
 	}
 }
 
-// TestAppendZeroPadMatchesFmt pins the per-record formatting helper to
-// the fmt verb it replaced, so identifiers keep their exact bytes.
-func TestAppendZeroPadMatchesFmt(t *testing.T) {
+// TestPaddedMatchesFmt pins the per-record formatting helper to the
+// fmt verb it replaced, so identifiers keep their exact bytes.
+func TestPaddedMatchesFmt(t *testing.T) {
 	type tc struct {
 		v int64
 		w int
@@ -489,17 +489,11 @@ func TestAppendZeroPadMatchesFmt(t *testing.T) {
 			cases = append(cases, tc{k*didPartitionStride + i, 24})
 		}
 	}
-	for _, c := range cases {
-		want := fmt.Sprintf("%0*d", c.w, c.v)
-		if got := string(appendZeroPad([]byte("x"), c.v, c.w)); got != "x"+want {
-			t.Errorf("appendZeroPad(%d, %d) = %q, want %q", c.v, c.w, got[1:], want)
-		}
-	}
 	var buf []byte
-	if got, want := padded(&buf, "did:plc:", 3*didPartitionStride+42, 24, ""), fmt.Sprintf("did:plc:%024d", 3*didPartitionStride+42); got != want {
-		t.Errorf("padded DID = %q, want %q", got, want)
-	}
-	if got, want := padded(&buf, "user", 12, 7, ".bsky.social"), fmt.Sprintf("user%07d.bsky.social", 12); got != want {
-		t.Errorf("padded handle = %q, want %q", got, want)
+	for _, c := range cases {
+		want := fmt.Sprintf("at://%0*d.bsky.social", c.w, c.v)
+		if got := padded(&buf, "at://", c.v, c.w, ".bsky.social"); got != want {
+			t.Errorf("padded(%d, %d) = %q, want %q", c.v, c.w, got, want)
+		}
 	}
 }
