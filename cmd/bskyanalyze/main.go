@@ -108,7 +108,6 @@ func main() {
 	workersAt := flag.String("workers-at", "", "schedule -corpus partitions onto bskyworker daemons (comma-separated host:port list, or 'loopback[:N]' for in-process workers)")
 	shipBlocks := flag.Bool("ship-blocks", false, "stream partition block frames to remote workers instead of sending a store reference")
 	noSpeculate := flag.Bool("no-speculate", false, "disable speculative re-execution of straggling partitions on idle workers")
-	splitFactor := flag.Float64("split-factor", 0, "split partitions whose record count exceeds this multiple of the median into sub-ranges (0 = default 4.0, negative = never split)")
 	scenarioName := flag.String("scenario", "", "run a named fault-injection scenario end-to-end and judge its assertion ('list' prints the registry)")
 	var inputs []inputSpec
 	flag.Func("input", "independent corpus spec 'seed=S[,scale=C]' (repeatable); evaluates all inputs as one federated corpus", func(s string) error {
@@ -177,7 +176,7 @@ func main() {
 		fatal(fmt.Errorf("-workers-at schedules a spilled store; combine it with -corpus DIR"))
 	}
 	if *corpus != "" {
-		opts := schedOpts{shipBlocks: *shipBlocks, noSpeculate: *noSpeculate, splitFactor: *splitFactor}
+		opts := schedOpts{shipBlocks: *shipBlocks, noSpeculate: *noSpeculate}
 		if err := runCorpus(*corpus, *plan, *workers, *workersAt, opts, print); err != nil {
 			fatal(err)
 		}
@@ -340,19 +339,18 @@ func runSpill(dir string, inputs []inputSpec, partitions int, mode string, scale
 	return nil
 }
 
+// schedOpts carries the elastic-scheduler knobs from the command line.
+type schedOpts struct {
+	shipBlocks  bool
+	noSpeculate bool
+}
+
 // runCorpus evaluates a previously spilled partition store out of
 // core: every partition streams from disk block by block through the
 // two-level merge, byte-identical to the in-memory evaluation. With
 // workersAt set, the partitions are placed on evaluation workers
 // instead (level-one merges run remotely, shard state folds locally) —
 // same output, by the remote-parity contract.
-// schedOpts carries the elastic-scheduler knobs from the command line.
-type schedOpts struct {
-	shipBlocks  bool
-	noSpeculate bool
-	splitFactor float64
-}
-
 func runCorpus(dir string, plan bool, workers int, workersAt string, opts schedOpts, print func([]*analysis.Report)) error {
 	c, err := core.OpenCorpus(dir)
 	if err != nil {
@@ -374,8 +372,9 @@ func runCorpus(dir string, plan bool, workers int, workersAt string, opts schedO
 		}
 		s := sched.New(c, pool...)
 		s.ShipBlocks = opts.shipBlocks
-		s.NoSpeculate = opts.noSpeculate
-		s.SplitFactor = opts.splitFactor
+		if opts.noSpeculate {
+			s.SpeculateAfter = -1
+		}
 		reports, err = s.RunAll(workers)
 		if err != nil {
 			return err

@@ -386,7 +386,7 @@ func remoteMeasures(ds *core.Dataset, tmp string) []Result {
 	}
 	spec, _ := run("remote/straggler", sched.New(c, newStragglerPool()...))
 	nos := sched.New(c, newStragglerPool()...)
-	nos.NoSpeculate = true
+	nos.SpeculateAfter = -1
 	nospec, _ := run("remote/straggler-nospec", nos)
 
 	return []Result{cold, warm, spec, nospec}

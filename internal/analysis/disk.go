@@ -67,11 +67,6 @@ type ReaderSource struct {
 	// computed against. A mismatch fails the run: proceeding would
 	// silently mis-attribute every later partition's indexes.
 	Records *core.CollectionCounts
-	// Clip, when set, restricts the traversal to one contiguous
-	// per-collection row sub-range of the blocks — the scheduler's
-	// dynamic partition splitting. Base and Records then describe the
-	// clipped sub-range, not the whole block stream.
-	Clip *core.RowRange
 	// Name labels errors ("partition 3", "streamed blocks").
 	Name string
 }
@@ -84,10 +79,6 @@ func (src *ReaderSource) Run(accs []Accumulator, workers int, _ RenderFunc) (*Wo
 	}
 	defer pr.Close()
 	si := newStreamIngest(accs, workers, src.Base)
-	var clip *core.RowClipper
-	if src.Clip != nil {
-		clip = core.NewRowClipper(*src.Clip)
-	}
 	for {
 		b, db, err := pr.NextDict()
 		if errors.Is(err, io.EOF) {
@@ -96,13 +87,6 @@ func (src *ReaderSource) Run(accs []Accumulator, workers int, _ RenderFunc) (*Wo
 		if err != nil {
 			si.finish() // stop group goroutines before bailing
 			return nil, nil, nil, fmt.Errorf("analysis: %s: %w", src.Name, err)
-		}
-		if clip != nil {
-			// The dictionary id columns are parallel to the *unclipped*
-			// label rows; after clipping they no longer line up, so the
-			// sub-range falls back to the per-record intern path.
-			b = clip.Clip(b)
-			db = nil
 		}
 		si.applyColumnar(*b, db)
 	}

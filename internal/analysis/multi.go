@@ -376,7 +376,8 @@ type snapCoordinator struct {
 	mu      sync.Mutex
 	states  []*partState
 	active  int // running stream partitions
-	since   int
+	since   int // records applied since the last round opened
+	opened  int // the value of since when the pending round opened
 	pausing bool
 	pause   chan struct{} // closed to request a round
 	done    chan struct{} // closed when the round completes
@@ -397,6 +398,7 @@ func (c *snapCoordinator) progress(n int) {
 	c.since += n
 	if !c.pausing && c.since >= c.every {
 		c.pausing = true
+		c.opened = c.since
 		c.done = make(chan struct{})
 		close(c.pause)
 	}
@@ -441,12 +443,14 @@ func (c *snapCoordinator) finish() {
 
 // completeLocked folds the quiescent states, emits the snapshot, and
 // releases the round. Caller holds c.mu; every other active stream is
-// parked in arrive, so all registered states are quiescent.
+// parked in arrive, so all registered states are quiescent. Only the
+// records counted when the round opened are consumed: records applied
+// while it was pending count toward the next round.
 func (c *snapCoordinator) completeLocked() {
 	c.snapshot(c.states)
 	c.pausing = false
 	c.arrived = 0
-	c.since = 0
+	c.since -= c.opened
 	close(c.done)
 	c.pause = make(chan struct{})
 }

@@ -148,3 +148,33 @@ func TestMultiSourceErrorSuppressesSnapshots(t *testing.T) {
 		t.Fatalf("%d merged snapshots rendered after the abort (had %d at return)", final-atReturn, atReturn)
 	}
 }
+
+// TestSnapCoordinatorCountsRecordsAppliedWhilePending pins the round
+// accounting: records applied after a round opens but before it
+// completes count toward the next round instead of being dropped, so
+// the number of snapshots does not depend on when the round completes.
+func TestSnapCoordinatorCountsRecordsAppliedWhilePending(t *testing.T) {
+	rounds := 0
+	c := &snapCoordinator{
+		every:    10,
+		active:   1,
+		pause:    make(chan struct{}),
+		snapshot: func([]*partState) { rounds++ },
+	}
+	c.progress(10) // opens round 1
+	c.progress(7)  // applied while round 1 is pending
+	c.arrive()     // the only stream parks: round 1 completes
+	if rounds != 1 {
+		t.Fatalf("%d rounds after the first arrive, want 1", rounds)
+	}
+	c.progress(3) // 7 + 3 records since round 1 opened: round 2 opens
+	select {
+	case <-c.pauseChan():
+	default:
+		t.Fatal("no second round opened: records applied while round 1 was pending were dropped")
+	}
+	c.arrive()
+	if rounds != 2 {
+		t.Fatalf("%d rounds, want 2", rounds)
+	}
+}

@@ -57,59 +57,6 @@ func collectBlocks(t *testing.T, data []byte) *Dataset {
 	}
 }
 
-// TestClipPartitionBlocksParity pins the sliced-ship contract: the
-// clipped payload for each leg of a split carries exactly that leg's
-// rows (the same sub-ranges SubRowRange describes), facts ride on leg
-// 0 only, and the legs concatenate back to the whole partition.
-func TestClipPartitionBlocksParity(t *testing.T) {
-	ds := diskTestDataset()
-	data := shipTestFile(t)
-	info := ds.PartitionInfo(0)
-	const nsub = 3
-	subs := SubPartitionInfos(info, nsub)
-	var cat *Dataset
-	for j, sub := range subs {
-		rng := SubRowRange(info, subs[j], j == 0)
-		clipped, err := ClipPartitionBlocks(data, rng)
-		if err != nil {
-			t.Fatalf("sub %d: %v", j, err)
-		}
-		if len(clipped) >= len(data) {
-			t.Errorf("sub %d: sliced payload is %d bytes, parent is %d — nothing saved", j, len(clipped), len(data))
-		}
-		got := collectBlocks(t, clipped)
-		if counts := got.Counts(); counts != sub.Records {
-			t.Fatalf("sub %d: sliced payload carries %+v rows, sub-range promises %+v", j, counts, sub.Records)
-		}
-		lo, hi := rng.Skip.Labels, rng.Skip.Labels+rng.Take.Labels
-		if hi > lo && !reflect.DeepEqual(got.Labels, ds.Labels[lo:hi]) {
-			t.Fatalf("sub %d: label rows differ from ds.Labels[%d:%d]", j, lo, hi)
-		}
-		if j == 0 {
-			if got.Firehose != ds.Firehose || got.NonBskyEvents != ds.NonBskyEvents {
-				t.Fatalf("sub 0: facts dropped: %+v / %d", got.Firehose, got.NonBskyEvents)
-			}
-			cat = got
-		} else {
-			if got.Firehose != (EventCounts{}) || got.NonBskyEvents != 0 {
-				t.Fatalf("sub %d: corpus facts duplicated onto a non-facts leg", j)
-			}
-			cat.Users = append(cat.Users, got.Users...)
-			cat.Posts = append(cat.Posts, got.Posts...)
-			cat.Daily = append(cat.Daily, got.Daily...)
-			cat.Labels = append(cat.Labels, got.Labels...)
-			cat.FeedGens = append(cat.FeedGens, got.FeedGens...)
-			cat.Domains = append(cat.Domains, got.Domains...)
-			cat.HandleUpdates = append(cat.HandleUpdates, got.HandleUpdates...)
-		}
-	}
-	whole := collectBlocks(t, data)
-	if !reflect.DeepEqual(cat.Counts(), whole.Counts()) || !reflect.DeepEqual(cat.Labels, whole.Labels) ||
-		!reflect.DeepEqual(cat.Users, whole.Users) || !reflect.DeepEqual(cat.Posts, whole.Posts) {
-		t.Fatal("concatenated sub-range slices do not rebuild the whole partition")
-	}
-}
-
 // TestCompressPartitionBlocksRoundTrip pins the ship-compression
 // contract: a payload shrinks, reads back record-identical, and the
 // rewrite is idempotent and deterministic; a payload whose header
@@ -150,26 +97,5 @@ func TestCompressPartitionBlocksRoundTrip(t *testing.T) {
 		if rerr == nil || rerr.Error() != err.Error() {
 			t.Fatalf("v%d header: ship path says %q, reader says %v", version, err, rerr)
 		}
-	}
-}
-
-// TestClipThenCompress pins the scheduler's exact ship pipeline for a
-// split unit: slice, compress, read back.
-func TestClipThenCompress(t *testing.T) {
-	ds := diskTestDataset()
-	data := shipTestFile(t)
-	info := ds.PartitionInfo(0)
-	subs := SubPartitionInfos(info, 2)
-	rng := SubRowRange(info, subs[1], false)
-	clipped, err := ClipPartitionBlocks(data, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := CompressPartitionBlocks(clipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(collectBlocks(t, comp), collectBlocks(t, clipped)) {
-		t.Fatal("compressed slice decodes to different records")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -583,49 +582,6 @@ func (c *Corpus) OpenPartition(k int) (*PartitionReader, error) {
 		return nil, fmt.Errorf("core: partition %d out of range (corpus has %d)", k, len(c.Manifest.Partitions))
 	}
 	return OpenPartition(filepath.Join(c.Dir, PartitionFileName(k)))
-}
-
-// ClipPartitionBlocks re-frames an in-memory partition block file
-// restricted to one row sub-range — how the scheduler ships a split unit's slice instead of
-// the whole parent payload. The stream is exactly what a worker-side
-// RowClipper over the full file would feed the engine (headers and
-// labeler announcements pass through, facts are zeroed for non-facts
-// ranges, rows outside the range are dropped), so evaluating the
-// clipped payload without a Range stays byte-identical to evaluating
-// the parent payload with one. Blocks clipped empty are elided.
-func ClipPartitionBlocks(data []byte, rng RowRange) ([]byte, error) {
-	pr, err := NewPartitionReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	pw, err := NewPartitionWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
-	clip := NewRowClipper(rng)
-	for {
-		b, err := pr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		cb := clip.Clip(b)
-		if cb.Header == nil && len(cb.Labelers) == 0 && cb.Events == (EventCounts{}) &&
-			len(cb.Users)+len(cb.Posts)+len(cb.Days)+len(cb.Labels)+
-				len(cb.FeedGens)+len(cb.Domains)+len(cb.HandleUpdates) == 0 {
-			continue
-		}
-		if err := pw.WriteBlock(cb); err != nil {
-			return nil, err
-		}
-	}
-	if err := pw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // CompressPartitionBlocks rewrites an in-memory partition block file

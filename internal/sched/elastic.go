@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -18,13 +17,13 @@ import (
 
 // The elastic run: the pull-based placement engine behind evalPartition.
 //
-// Placement is a shared queue of evaluation units, ordered by (partition,
-// sub-range) — not an assignment. Each worker runs one claim loop: take
-// the first queued unit this worker hasn't already failed, evaluate it,
-// deliver, repeat. Fast workers therefore drain slow workers' backlogs
-// automatically (work stealing is the default behavior, not a special
-// case), and a worker that dies simply stops claiming: its in-flight
-// unit requeues for the survivors.
+// Placement is a shared queue of evaluation units, one per partition,
+// ordered by partition index — not an assignment. Each worker runs one
+// claim loop: take the first queued unit this worker hasn't already
+// failed, evaluate it, deliver, repeat. Fast workers therefore drain
+// slow workers' backlogs automatically (work stealing is the default
+// behavior, not a special case), and a worker that dies simply stops
+// claiming: its in-flight unit requeues for the survivors.
 //
 // Idle workers with nothing left to claim speculate: they re-execute the
 // longest-in-flight unit once it has run past the speculation threshold.
@@ -33,28 +32,15 @@ import (
 // cross-checks and aborts loudly on divergence, so speculation can never
 // silently pick a wrong answer.
 //
-// Skewed partitions (record totals far above the median) split into
-// deterministic contiguous sub-ranges (core.SubPartitionInfos) that
-// evaluate as independent units; their states fold back into exactly the
-// unsplit partition state before the corpus-level merge sees them.
-//
 // Every schedule this machinery can produce — any claim interleaving,
-// steals, speculation, splits, worker death, local fallback — yields
-// output byte-identical to the local DiskSource golden: results are
-// slotted by unit id and folded in manifest order, never in arrival
-// order.
+// steals, speculation, worker death, local fallback — yields output
+// byte-identical to the local DiskSource golden: results are slotted
+// by partition and folded in manifest order, never in arrival order.
 //
 // Concurrency/memory bound: one eval (plus at most one prefetch push) is
 // in flight per worker, and local fallback executors are capped at the
 // worker count — so peak resident request bytes stay O(workers ·
 // partition), matching the old slot semantics.
-
-// DefaultSplitFactor triggers dynamic splitting: a partition whose
-// record total exceeds this multiple of the median partition splits.
-const DefaultSplitFactor = 4.0
-
-// MaxSubPartitions caps how many sub-ranges one partition splits into.
-const MaxSubPartitions = 8
 
 // minSpeculateAfter floors the auto speculation threshold so loopback
 // tests and fast fleets don't speculate on healthy microsecond evals.
@@ -69,18 +55,6 @@ const minSpeculateAfter = 50 * time.Millisecond
 // health, not time, gates that path.
 const bootstrapStealGrace = 500 * time.Millisecond
 
-// unitID orders evaluation units: partition-major, sub-range-minor.
-type unitID struct{ part, sub int }
-
-func (id unitID) String() string { return fmt.Sprintf("%d.%d", id.part, id.sub) }
-
-func idLess(a, b unitID) bool {
-	if a.part != b.part {
-		return a.part < b.part
-	}
-	return a.sub < b.sub
-}
-
 // unitRes is one unit's accepted evaluation result. state holds the
 // raw wire state for remote results (the cheap byte-equality path when
 // a speculative duplicate arrives); local results carry only the
@@ -92,15 +66,12 @@ type unitRes struct {
 	state  []byte
 }
 
-// unit is one evaluation unit: a whole partition, or one contiguous
-// sub-range of a split partition. All mutable fields are guarded by
-// elasticRun.mu.
+// unit is one evaluation unit: one whole partition, and its completion
+// latch. All mutable fields are guarded by elasticRun.mu.
 type unit struct {
-	id   unitID
-	info core.PartitionInfo // corpus-global base + records of this range
-	rng  *core.RowRange     // nil = whole partition
-	nsub int                // sibling count when split (cache key suffix)
-	home int                // (part+sub) % workers — steal accounting only
+	part int
+	info core.PartitionInfo // corpus-global base + records
+	home int                // part % workers — steal accounting only
 
 	queued   bool
 	local    bool
@@ -112,21 +83,17 @@ type unit struct {
 	done     bool
 	res      *unitRes
 	attempts []string
+
+	ch     chan struct{} // closed once the unit resolves or the run fails
+	closed bool
 }
 
-// partWait is one partition's completion latch plus the lazily-folded
-// partition-level result when the partition ran split.
-type partWait struct {
-	units  []*unit
-	left   int
-	ch     chan struct{}
-	closed bool
-
-	foldOnce sync.Once
-	world    *analysis.World
-	shards   []analysis.Shard
-	tables   *analysis.LabelTables
-	foldErr  error
+// closeLocked opens the unit's latch (once).
+func (u *unit) closeLocked() {
+	if !u.closed {
+		u.closed = true
+		close(u.ch)
+	}
 }
 
 // elasticRun is one scheduler run's shared placement state.
@@ -138,11 +105,10 @@ type elasticRun struct {
 
 	mu     sync.Mutex
 	wake   chan struct{}
-	units  map[unitID]*unit
-	order  []*unit // every unit, id-sorted (deterministic scans)
-	queue  []*unit // claimable units, id-sorted
-	localQ []*unit // units routed to local fallback, id-sorted
-	parts  map[int]*partWait
+	units  map[int]*unit // by partition index
+	order  []*unit       // every unit, partition-sorted (deterministic scans)
+	queue  []*unit       // claimable units, partition-sorted
+	localQ []*unit       // units routed to local fallback, partition-sorted
 	failed bool
 	err    error
 
@@ -170,8 +136,7 @@ func newElasticRun(s *Scheduler, accs []analysis.Accumulator, workers int) *elas
 		workers:   workers,
 		fp:        s.Corpus.Manifest.Fingerprint(),
 		wake:      make(chan struct{}),
-		units:     make(map[unitID]*unit),
-		parts:     make(map[int]*partWait),
+		units:     make(map[int]*unit),
 		active:    make([]bool, n),
 		retired:   make([]string, n),
 		idleSince: make([]time.Time, n),
@@ -205,67 +170,51 @@ func (r *elasticRun) wakeChan() <-chan struct{} {
 // RemoteSource.Run's whole implementation.
 func (r *elasticRun) evalPartition(part int) (*analysis.World, []analysis.Shard, *analysis.LabelTables, error) {
 	r.mu.Lock()
-	pw := r.registerLocked(part)
+	u := r.registerLocked(part)
 	r.mu.Unlock()
-	<-pw.ch
-	return r.resolve(pw)
+	<-u.ch
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !u.done {
+		return nil, nil, nil, r.err // the latch opens unresolved only when the run fails
+	}
+	return u.res.world, u.res.shards, u.res.tables, nil
 }
 
-// registerLocked creates the partition's units (splitting skewed ones),
-// enqueues them, and starts whatever executors can serve them.
-func (r *elasticRun) registerLocked(part int) *partWait {
-	if pw, ok := r.parts[part]; ok {
-		return pw
+// registerLocked creates the partition's unit, enqueues it, and starts
+// whatever executors can serve it.
+func (r *elasticRun) registerLocked(part int) *unit {
+	if u, ok := r.units[part]; ok {
+		return u
 	}
-	pw := &partWait{ch: make(chan struct{})}
-	r.parts[part] = pw
+	u := &unit{
+		part:     part,
+		info:     r.s.Corpus.Manifest.Partitions[part],
+		runners:  make(map[int]bool),
+		failedOn: make(map[int]bool),
+		cancels:  make(map[int]context.CancelFunc),
+		ch:       make(chan struct{}),
+	}
+	r.units[part] = u
 	if r.failed {
-		pw.closed = true
-		close(pw.ch)
-		return pw
+		u.closeLocked()
+		return u
 	}
-	info := r.s.Corpus.Manifest.Partitions[part]
-	nsub := r.s.splitCount(part)
-	nw := len(r.s.Workers)
-	for j := 0; j < nsub; j++ {
-		u := &unit{
-			id:       unitID{part: part, sub: j},
-			info:     info,
-			runners:  make(map[int]bool),
-			failedOn: make(map[int]bool),
-			cancels:  make(map[int]context.CancelFunc),
-		}
-		if nw > 0 {
-			u.home = (part + j) % nw
-		}
-		if nsub > 1 {
-			subs := core.SubPartitionInfos(info, nsub)
-			u.info = subs[j]
-			rng := core.SubRowRange(info, subs[j], j == 0)
-			u.rng = &rng
-			u.nsub = nsub
-		}
-		r.units[u.id] = u
-		r.order = insertByID(r.order, u)
-		r.queue = insertByID(r.queue, u)
-		u.queued = true
-		pw.units = append(pw.units, u)
+	if nw := len(r.s.Workers); nw > 0 {
+		u.home = part % nw
 	}
-	pw.left = len(pw.units)
-	if nsub > 1 {
-		r.s.Stats.Splits.Add(1)
-		r.s.event("split", "-", unitID{part, 0}, "%d records ≥ %.3g× the median partition; evaluating as %d sub-ranges",
-			info.Records.Total(), r.s.splitFactor(), nsub)
-	}
+	r.order = insertByPart(r.order, u)
+	r.queue = insertByPart(r.queue, u)
+	u.queued = true
 	r.reapLocked()
 	r.ensureWorkersLocked()
 	r.signalLocked()
-	return pw
+	return u
 }
 
-// insertByID inserts u keeping the slice id-sorted.
-func insertByID(q []*unit, u *unit) []*unit {
-	i := sort.Search(len(q), func(i int) bool { return !idLess(q[i].id, u.id) })
+// insertByPart inserts u keeping the slice partition-sorted.
+func insertByPart(q []*unit, u *unit) []*unit {
+	i := sort.Search(len(q), func(i int) bool { return q[i].part >= u.part })
 	q = append(q, nil)
 	copy(q[i+1:], q[i:])
 	q[i] = u
@@ -279,39 +228,6 @@ func removeUnit(q []*unit, u *unit) []*unit {
 		}
 	}
 	return q
-}
-
-// splitFactor is the effective skew threshold.
-func (s *Scheduler) splitFactor() float64 {
-	if s.SplitFactor > 0 {
-		return s.SplitFactor
-	}
-	return DefaultSplitFactor
-}
-
-// splitCount decides — deterministically, from the manifest alone —
-// how many sub-ranges partition part evaluates as. 1 = no split.
-func (s *Scheduler) splitCount(part int) int {
-	if s.SplitFactor < 0 {
-		return 1
-	}
-	m := s.Corpus.Manifest
-	if len(m.Partitions) < 2 {
-		return 1 // no sibling baseline to call it skewed against
-	}
-	totals := make([]int, len(m.Partitions))
-	for i := range m.Partitions {
-		totals[i] = m.Partitions[i].Records.Total()
-	}
-	sort.Ints(totals)
-	med := totals[len(totals)/2]
-	rec := m.Partitions[part].Records.Total()
-	if med <= 0 || float64(rec) <= s.splitFactor()*float64(med) {
-		return 1
-	}
-	n := int(math.Ceil(float64(rec) / float64(med)))
-	n = min(n, MaxSubPartitions, max(2, 2*max(1, len(s.Workers))))
-	return max(n, 2)
 }
 
 // ensureWorkersLocked starts a claim loop for every healthy worker
@@ -374,12 +290,12 @@ func (r *elasticRun) routeLocked(u *unit) {
 	}
 	if r.s.NoFallback {
 		r.failLocked(fmt.Errorf("sched: partition %d failed on every worker: %s",
-			u.id.part, strings.Join(r.unitAttemptsLocked(u), "; ")))
+			u.part, strings.Join(r.unitAttemptsLocked(u), "; ")))
 		return
 	}
 	u.local = true
-	r.localQ = insertByID(r.localQ, u)
-	r.s.event("fallback", "-", u.id, "degrading to local out-of-core evaluation (no healthy workers left for it)")
+	r.localQ = insertByPart(r.localQ, u)
+	r.s.event("fallback", "-", u.part, "degrading to local out-of-core evaluation (no healthy workers left for it)")
 	r.ensureLocalLocked()
 }
 
@@ -407,11 +323,8 @@ func (r *elasticRun) failLocked(err error) {
 	}
 	r.failed = true
 	r.err = err
-	for _, pw := range r.parts {
-		if !pw.closed {
-			pw.closed = true
-			close(pw.ch)
-		}
+	for _, u := range r.units {
+		u.closeLocked()
 	}
 	r.signalLocked()
 }
@@ -464,7 +377,7 @@ func (r *elasticRun) drain() error {
 // retire takes worker wi out of the run (first caller logs).
 func (r *elasticRun) retire(wi int, reason string) {
 	if r.s.markUnhealthy(wi) {
-		r.s.event("retire", r.s.Workers[wi].Name(), unitID{-1, -1}, "%s", reason)
+		r.s.event("retire", r.s.Workers[wi].Name(), -1, "%s", reason)
 		r.mu.Lock()
 		r.retired[wi] = reason
 		r.reapLocked()
@@ -568,7 +481,7 @@ func (r *elasticRun) claim(wi int) (u *unit, spec bool, wait time.Duration, exit
 		r.startLocked(pick, wi)
 		if pick.home != wi {
 			r.s.Stats.Steals.Add(1)
-			r.s.event("steal", r.s.Workers[wi].Name(), pick.id, "pulled from worker %d's backlog", pick.home)
+			r.s.event("steal", r.s.Workers[wi].Name(), pick.part, "pulled from worker %d's backlog", pick.home)
 		}
 		return pick, false, 0, false
 	}
@@ -596,7 +509,7 @@ func (r *elasticRun) claim(wi int) (u *unit, spec bool, wait time.Duration, exit
 	if target != nil {
 		r.startLocked(target, wi)
 		r.s.Stats.Speculations.Add(1)
-		r.s.event("speculate", r.s.Workers[wi].Name(), target.id, "in flight %v ≥ threshold; re-executing speculatively",
+		r.s.event("speculate", r.s.Workers[wi].Name(), target.part, "in flight %v ≥ threshold; re-executing speculatively",
 			time.Since(target.started).Round(time.Millisecond)) //lint:walltime speculation age diagnostics; output stays byte-identical (duplicates are cross-checked)
 		return target, true, 0, false
 	}
@@ -669,7 +582,7 @@ func (r *elasticRun) cachedElsewhereLocked(u *unit, wi int) bool {
 // speculation threshold that this worker may duplicate, or how long
 // until the earliest candidate crosses it.
 func (r *elasticRun) specTargetLocked(wi int) (*unit, time.Duration) {
-	if r.s.NoSpeculate || r.s.SpeculateAfter < 0 {
+	if r.s.SpeculateAfter < 0 {
 		return nil, 0
 	}
 	thr := r.s.SpeculateAfter
@@ -722,7 +635,6 @@ func (r *elasticRun) baseRequest(u *unit) *EvalRequest {
 		Base:    u.info.Base,
 		Records: &u.info.Records,
 		Workers: r.evalWorkers(),
-		Range:   u.rng,
 	}
 }
 
@@ -730,40 +642,27 @@ func (r *elasticRun) baseRequest(u *unit) *EvalRequest {
 // records per-partition content hashes keys by them — the same
 // partition bytes in any corpus hit the same worker cache entry, so
 // re-sharded or re-spilled corpora warm-start across runs. Hashless
-// manifests fall back to a manifest-fingerprint-scoped key. Split
-// sub-units ship sliced payloads, so their keys carry the sub-range
-// coordinates: a sub-unit's entry is never the parent's. The format
-// version suffix keeps a persistent cache from serving payloads of
-// another format.
+// manifests fall back to a manifest-fingerprint-scoped key. The
+// format version suffix keeps a persistent cache from serving payloads
+// of another format.
 func (r *elasticRun) unitKey(u *unit) string {
-	prefix := fmt.Sprintf("%s/%d", r.fp, u.id.part)
-	if h := r.s.Corpus.Manifest.Partitions[u.id.part].ContentHash; h != "" {
+	prefix := fmt.Sprintf("%s/%d", r.fp, u.part)
+	if h := r.s.Corpus.Manifest.Partitions[u.part].ContentHash; h != "" {
 		prefix = "c/" + h
-	}
-	if u.rng != nil {
-		return fmt.Sprintf("%s/s%d.%d/v%d", prefix, u.id.sub, u.nsub, core.DiskFormatVersion)
 	}
 	return fmt.Sprintf("%s/v%d", prefix, core.DiskFormatVersion)
 }
 
 // shipUnitBlocks builds the framed block payload unit u ships: the
-// partition's blocks, sliced to the unit's sub-range when it is one
-// leg of a split (shipping a whole parent payload per sub-unit re-sent
-// the same megabytes nsub times), then LZ-compressed per frame.
+// partition's blocks, LZ-compressed per frame.
 func (r *elasticRun) shipUnitBlocks(u *unit) ([]byte, error) {
-	blocks, err := ReadPartitionBlocks(r.s.Corpus, u.id.part)
+	blocks, err := ReadPartitionBlocks(r.s.Corpus, u.part)
 	if err != nil {
-		return nil, fmt.Errorf("sched: read partition %d blocks: %w", u.id.part, err)
-	}
-	if u.rng != nil {
-		blocks, err = core.ClipPartitionBlocks(blocks, *u.rng)
-		if err != nil {
-			return nil, fmt.Errorf("sched: slice partition %d blocks to sub-range %s: %w", u.id.part, u.id, err)
-		}
+		return nil, fmt.Errorf("sched: read partition %d blocks: %w", u.part, err)
 	}
 	blocks, err = core.CompressPartitionBlocks(blocks)
 	if err != nil {
-		return nil, fmt.Errorf("sched: compress partition %d blocks: %w", u.id.part, err)
+		return nil, fmt.Errorf("sched: compress partition %d blocks: %w", u.part, err)
 	}
 	return blocks, nil
 }
@@ -790,7 +689,7 @@ func (r *elasticRun) execute(ctx context.Context, wi int, u *unit, spec bool) {
 			r.mu.Lock()
 			delete(r.cached[wi], key)
 			r.mu.Unlock()
-			r.s.event("cache-miss", w.Name(), u.id, "worker cannot serve %s (%s); re-shipping inline", key, xe.Message)
+			r.s.event("cache-miss", w.Name(), u.part, "worker cannot serve %s (%s); re-shipping inline", key, xe.Message)
 			state, err = r.attempt(ctx, wi, u, true)
 		}
 	}
@@ -810,10 +709,10 @@ func (r *elasticRun) execute(ctx context.Context, wi int, u *unit, spec bool) {
 			delete(u.cancels, wi)
 			u.inflight--
 			if superseded && !isFallback {
-				r.s.event("spec-abandon", w.Name(), u.id, "attempt canceled after another runner delivered: %v", err)
+				r.s.event("spec-abandon", w.Name(), u.part, "attempt canceled after another runner delivered: %v", err)
 			}
 			if isFallback && !u.done && !u.queued && u.inflight == 0 {
-				r.s.event("ship-skip", w.Name(), u.id, "%s", err.Error())
+				r.s.event("ship-skip", w.Name(), u.part, "%s", err.Error())
 				r.routeLocked(u)
 			}
 			r.signalLocked()
@@ -862,19 +761,15 @@ func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, forceInline b
 		if !keyOnly {
 			blocks, err := r.shipUnitBlocks(u)
 			if err != nil {
-				r.failRun(err) // local read/slice/compress failure: the run is wrong, not the worker
+				r.failRun(err) // local read/compress failure: the run is wrong, not the worker
 				return nil, err
 			}
 			req.Blocks = blocks
 			shipped = len(blocks)
 		}
-		// Shipped (and cached) payloads are pre-sliced to the unit's
-		// sub-range, so the worker must not clip them again; only the
-		// store path sends the row range for worker-side clipping.
-		req.Range = nil
 	} else {
 		req.Store = r.s.Corpus.Dir
-		req.Partition = u.id.part
+		req.Partition = u.part
 	}
 	body, err := cbor.Marshal(req)
 	if err != nil {
@@ -883,7 +778,7 @@ func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, forceInline b
 	}
 	if r.s.ShipBlocks && len(body) > limit {
 		if r.s.NoFallback {
-			err := fmt.Errorf("sched: partition %d request of %d bytes exceeds the %d-byte ship bound", u.id.part, len(body), limit)
+			err := fmt.Errorf("sched: partition %d request of %d bytes exceeds the %d-byte ship bound", u.part, len(body), limit)
 			r.failRun(err)
 			return nil, err
 		}
@@ -916,7 +811,7 @@ func (r *elasticRun) attempt(ctx context.Context, wi int, u *unit, forceInline b
 		r.mu.Unlock()
 		if keyOnly {
 			r.s.Stats.CacheHits.Add(1)
-			r.s.event("cache-hit", w.Name(), u.id, "evaluated from cached %s (0 payload bytes shipped)", req.CacheKey)
+			r.s.event("cache-hit", w.Name(), u.part, "evaluated from cached %s (0 payload bytes shipped)", req.CacheKey)
 		}
 	}
 	return out.state, nil
@@ -931,17 +826,13 @@ func isCacheMiss(err error) (*xrpc.Error, bool) {
 }
 
 // prefetch pushes the first still-unshipped queued unit's blocks into
-// worker wi's cache — at most one push per eval, bounded by the
-// prefetch budget. Failures only cost the optimization: the unit ships
+// worker wi's cache — at most one push per eval, bounded by the ship
+// bound. Failures only cost the optimization: the unit ships
 // inline when claimed.
 func (r *elasticRun) prefetch(ctx context.Context, wi int) {
 	cw, ok := r.s.Workers[wi].(CacheWorker)
 	if !ok {
 		return
-	}
-	budget := r.s.PrefetchBytes
-	if budget <= 0 {
-		budget = r.s.maxShip()
 	}
 	var target *unit
 	var key string
@@ -980,10 +871,10 @@ func (r *elasticRun) prefetch(ctx context.Context, wi int) {
 		return
 	}
 	blocks, err := r.shipUnitBlocks(target)
-	pushed := err == nil && len(blocks) <= budget && len(blocks) <= r.s.maxShip()
+	pushed := err == nil && len(blocks) <= r.s.maxShip()
 	if pushed {
 		if err := cw.PutBlocks(ctx, key, blocks); err != nil {
-			r.s.event("prefetch", r.s.Workers[wi].Name(), target.id, "push of %s failed: %v", key, err)
+			r.s.event("prefetch", r.s.Workers[wi].Name(), target.part, "push of %s failed: %v", key, err)
 			pushed = false
 		}
 	}
@@ -998,7 +889,7 @@ func (r *elasticRun) prefetch(ctx context.Context, wi int) {
 	}
 	r.s.Stats.Prefetches.Add(1)
 	r.s.Stats.ShippedBytes.Add(int64(len(blocks)))
-	r.s.event("prefetch", r.s.Workers[wi].Name(), target.id, "shipped %d bytes as %s ahead of claim", len(blocks), key)
+	r.s.event("prefetch", r.s.Workers[wi].Name(), target.part, "shipped %d bytes as %s ahead of claim", len(blocks), key)
 }
 
 // resolveCache queries the worker's cache capability and seeds the
@@ -1038,7 +929,7 @@ func (r *elasticRun) resolveCache(ctx context.Context, wi int) {
 func (r *elasticRun) unitFailed(wi int, u *unit, msg string) {
 	w := r.s.Workers[wi]
 	if r.s.markUnhealthy(wi) {
-		r.s.event("retire", w.Name(), u.id, "%s", msg)
+		r.s.event("retire", w.Name(), u.part, "%s", msg)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1050,7 +941,7 @@ func (r *elasticRun) unitFailed(wi int, u *unit, msg string) {
 	u.attempts = append(u.attempts, fmt.Sprintf("%s: %s", w.Name(), msg))
 	if !u.done && u.inflight == 0 && !u.queued && !u.local {
 		if r.eligibleLocked(u) {
-			r.queue = insertByID(r.queue, u)
+			r.queue = insertByPart(r.queue, u)
 			u.queued = true
 		} else {
 			r.routeLocked(u)
@@ -1084,15 +975,15 @@ func (r *elasticRun) deliver(wi int, u *unit, res *unitRes, dur time.Duration, s
 	if u.done {
 		equal, err := r.statesEqual(u.res, res)
 		if err != nil {
-			r.failLocked(fmt.Errorf("sched: partition %s: cross-checking speculative duplicate: %w", u.id, err))
+			r.failLocked(fmt.Errorf("sched: partition %d: cross-checking speculative duplicate: %w", u.part, err))
 			return
 		}
 		if !equal {
-			r.failLocked(fmt.Errorf("sched: partition %s: speculative duplicate diverged from the accepted state byte-for-byte — nondeterministic evaluation, aborting the run", u.id))
+			r.failLocked(fmt.Errorf("sched: partition %d: speculative duplicate diverged from the accepted state byte-for-byte — nondeterministic evaluation, aborting the run", u.part))
 			return
 		}
 		r.s.Stats.SpecDuplicates.Add(1)
-		r.s.event("spec-dup", r.runnerName(wi), u.id, "duplicate result verified byte-identical")
+		r.s.event("spec-dup", r.runnerName(wi), u.part, "duplicate result verified byte-identical")
 		r.signalLocked()
 		return
 	}
@@ -1106,14 +997,9 @@ func (r *elasticRun) deliver(wi int, u *unit, res *unitRes, dur time.Duration, s
 	}
 	if spec {
 		r.s.Stats.SpecWins.Add(1)
-		r.s.event("spec-win", r.runnerName(wi), u.id, "speculative re-execution finished first")
+		r.s.event("spec-win", r.runnerName(wi), u.part, "speculative re-execution finished first")
 	}
-	pw := r.parts[u.id.part]
-	pw.left--
-	if pw.left == 0 && !pw.closed {
-		pw.closed = true
-		close(pw.ch)
-	}
+	u.closeLocked()
 	r.signalLocked()
 }
 
@@ -1169,50 +1055,14 @@ func (r *elasticRun) localLoop() {
 }
 
 // localEval is the out-of-core traversal of one unit — exactly what
-// RunAllDisk would do for the partition, clipped to the unit's range.
+// RunAllDisk would do for the partition.
 func (r *elasticRun) localEval(u *unit) (*analysis.World, []analysis.Shard, *analysis.LabelTables, error) {
-	part := u.id.part
+	part := u.part
 	rs := &analysis.ReaderSource{
 		Open:    func() (*core.PartitionReader, error) { return r.s.Corpus.OpenPartition(part) },
 		Base:    u.info.Base,
 		Records: &u.info.Records,
-		Clip:    u.rng,
 		Name:    fmt.Sprintf("partition %d", part),
 	}
 	return rs.Run(r.accs, r.workers, nil)
-}
-
-// ---- resolving a partition's result ----
-
-// resolve returns the partition-level triple: the single unit's result,
-// or — for a split partition — the sub-range states folded back into
-// one partition state (a SharedIndex fold at partition-local bases,
-// byte-identical to the unsplit evaluation by the split-parity
-// contract).
-func (r *elasticRun) resolve(pw *partWait) (*analysis.World, []analysis.Shard, *analysis.LabelTables, error) {
-	r.mu.Lock()
-	failedErr := r.err
-	left := pw.left
-	r.mu.Unlock()
-	if left > 0 {
-		if failedErr != nil {
-			return nil, nil, nil, failedErr
-		}
-		return nil, nil, nil, fmt.Errorf("sched: partition latch opened with %d units unresolved", left)
-	}
-	pw.foldOnce.Do(func() {
-		if len(pw.units) == 1 {
-			res := pw.units[0].res
-			pw.world, pw.shards, pw.tables = res.world, res.shards, res.tables
-			return
-		}
-		im := &core.Manifest{SharedIndex: true}
-		ms := &analysis.MultiSource{Manifest: im}
-		for j, u := range pw.units {
-			im.AddPartition(core.PartitionInfo{Index: j, Records: u.info.Records}, u.info.WindowStart, u.info.WindowEnd)
-			ms.Sources = append(ms.Sources, &analysis.StateSource{World: u.res.world, Shards: u.res.shards, Tables: u.res.tables})
-		}
-		pw.world, pw.shards, pw.tables, pw.foldErr = ms.Run(r.accs, r.workers, nil)
-	})
-	return pw.world, pw.shards, pw.tables, pw.foldErr
 }

@@ -429,7 +429,9 @@ func TestElasticPrefetchReservesKeyFleetWide(t *testing.T) {
 // ---- elastic scheduler: speculation ----
 
 // delayedWorker defers every evaluation by a fixed delay — the
-// injected straggler.
+// injected straggler. The delay honors cancellation, so a superseded
+// speculative duplicate returns at once, as a real transport does when
+// the losing RPC is torn down.
 type delayedWorker struct {
 	inner Worker
 	delay time.Duration
@@ -437,19 +439,25 @@ type delayedWorker struct {
 
 func (w *delayedWorker) Name() string { return w.inner.Name() + "-slow" }
 func (w *delayedWorker) Eval(ctx context.Context, req []byte) ([]byte, error) {
-	time.Sleep(w.delay)
+	select {
+	case <-time.After(w.delay):
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 	return w.inner.Eval(ctx, req)
 }
 
 // TestElasticSpeculationCoversStraggler is the speculation half of the
-// acceptance gate: with one worker delaying every evaluation ~100×,
-// the fast worker re-executes the straggler's in-flight unit and its
-// result lands first — the straggler no longer gates the run, and the
-// output is still byte-identical (the late duplicate is cross-checked).
+// acceptance gate: with one worker delaying every evaluation far past
+// any healthy eval (30 s — longer than the fast worker's evaluation
+// even under the race detector), the fast worker re-executes the
+// straggler's in-flight unit and its result lands first — the
+// straggler no longer gates the run, and the output is still
+// byte-identical.
 func TestElasticSpeculationCoversStraggler(t *testing.T) {
 	c := spillN(t, 4)
 	fast := &Loopback{Server: &Server{}, Label: "fast"}
-	slow := &delayedWorker{inner: &Loopback{Server: &Server{}, Label: "straggler"}, delay: 500 * time.Millisecond}
+	slow := &delayedWorker{inner: &Loopback{Server: &Server{}, Label: "straggler"}, delay: 30 * time.Second}
 	s := New(c, fast, slow)
 	s.ShipBlocks = true
 	s.SpeculateAfter = 10 * time.Millisecond
@@ -460,7 +468,7 @@ func TestElasticSpeculationCoversStraggler(t *testing.T) {
 	}
 	compareToGolden(t, "elastic-speculation", got)
 	if n := s.Stats.Speculations.Load(); n < 1 {
-		t.Fatalf("no speculation launched against a 500ms straggler (got %d)", n)
+		t.Fatalf("no speculation launched against a 30s straggler (got %d)", n)
 	}
 	if n := s.Stats.SpecWins.Load(); n < 1 {
 		t.Fatalf("speculative copies never beat the straggler (got %d wins)", n)
@@ -546,60 +554,13 @@ func TestElasticSpeculativeDivergenceFailsRun(t *testing.T) {
 	}
 }
 
-// ---- elastic scheduler: dynamic splitting ----
-
-// TestElasticSplitParity forces every partition through the dynamic
-// splitting path (a sub-median SplitFactor marks them all skewed) and
-// requires the sub-range evaluations to fold back byte-identical to
-// the golden — the remote counterpart of the split-parity contract —
-// in both shipping modes.
-func TestElasticSplitParity(t *testing.T) {
-	for _, ship := range []bool{false, true} {
-		c := spillN(t, 4)
-		s := New(c,
-			&Loopback{Server: &Server{}, Label: "w0"},
-			&Loopback{Server: &Server{}, Label: "w1"},
-		)
-		s.ShipBlocks = ship
-		s.SplitFactor = 0.5
-		s.Logf = t.Logf
-		got, err := s.RunAll(2)
-		if err != nil {
-			t.Fatalf("ship=%v: %v", ship, err)
-		}
-		compareToGolden(t, "elastic-split", got)
-		if n := s.Stats.Splits.Load(); n != 4 {
-			t.Fatalf("ship=%v: %d partitions split, want all 4", ship, n)
-		}
-	}
-}
-
-// TestElasticSplitSinglePartition pins the guard: a one-partition
-// corpus has no sibling median to call it skewed against, so it never
-// splits regardless of the factor.
-func TestElasticSplitSinglePartition(t *testing.T) {
-	c := spillN(t, 1)
-	s := New(c, &Loopback{Server: &Server{}, Label: "w0"})
-	s.ShipBlocks = true
-	s.SplitFactor = 0.01
-	s.Logf = t.Logf
-	got, err := s.RunAll(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareToGolden(t, "elastic-split-single", got)
-	if s.Stats.Splits.Load() != 0 {
-		t.Fatal("single-partition corpus split")
-	}
-}
-
 // ---- elastic scheduler: chaos matrix ----
 
 // TestElasticChaosMatrix is the satellite CI scenario run in-process:
 // two workers where one dies after its first evaluation and the other
-// delays every evaluation (straggler), with stealing, speculation, and
-// splitting all enabled — across both shipping modes the output must
-// remain byte-identical to the golden.
+// delays every evaluation (straggler), with stealing and speculation
+// enabled — across both shipping modes the output must remain
+// byte-identical to the golden.
 func TestElasticChaosMatrix(t *testing.T) {
 	for _, ship := range []bool{false, true} {
 		c := spillN(t, 8)
@@ -609,7 +570,6 @@ func TestElasticChaosMatrix(t *testing.T) {
 		s := New(c, dying, slow)
 		s.ShipBlocks = ship
 		s.SpeculateAfter = 60 * time.Millisecond
-		s.SplitFactor = 0.5
 		s.Logf = t.Logf
 		got, err := s.RunAll(2)
 		if err != nil {
@@ -630,45 +590,13 @@ func TestElasticStatsSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := s.Stats.Summary()
-	for _, field := range []string{"evals=", "steals=", "speculations=", "splits=", "cache-hits=", "shipped-bytes="} {
+	for _, field := range []string{"evals=", "steals=", "speculations=", "cache-hits=", "shipped-bytes="} {
 		if !strings.Contains(sum, field) {
 			t.Fatalf("summary %q lacks %s", sum, field)
 		}
 	}
 	if !strings.Contains(sum, "evals=2") {
 		t.Fatalf("summary %q: want evals=2", sum)
-	}
-}
-
-// TestSubPartitionInfosContiguity pins the split arithmetic the
-// sub-range units rely on: sub-bases are contiguous corpus-global
-// prefix sums and the sub-records sum to the parent's.
-func TestSubPartitionInfosContiguity(t *testing.T) {
-	c := spillN(t, 2)
-	parent := c.Manifest.Partitions[1]
-	for _, n := range []int{2, 3, 5} {
-		subs := core.SubPartitionInfos(parent, n)
-		if len(subs) != n {
-			t.Fatalf("n=%d: got %d subs", n, len(subs))
-		}
-		var sum core.CollectionCounts
-		base := parent.Base
-		for j, sub := range subs {
-			if sub.Base != base {
-				t.Fatalf("n=%d sub %d: base %+v, want %+v", n, j, sub.Base, base)
-			}
-			base.Add(sub.Records)
-			sum.Add(sub.Records)
-		}
-		if sum != parent.Records {
-			t.Fatalf("n=%d: sub records sum %+v, want %+v", n, sum, parent.Records)
-		}
-		// The row-range of the first sub carries the facts exactly once.
-		r0 := core.SubRowRange(parent, subs[0], true)
-		r1 := core.SubRowRange(parent, subs[1], false)
-		if !r0.Facts || r1.Facts {
-			t.Fatal("facts must ride on exactly the first sub-range")
-		}
 	}
 }
 
@@ -737,42 +665,5 @@ func TestElasticCrossCorpusCacheSharing(t *testing.T) {
 	}
 	if shipped := warm.Stats.ShippedBytes.Load(); shipped != 0 {
 		t.Fatalf("cross-corpus warm run shipped %d bytes; content-hash keys should serve every unit", shipped)
-	}
-}
-
-// TestElasticSplitShipSliced pins the sliced-ship satellite: a run
-// that splits every partition must ship *slices* — total payload bytes
-// strictly below the whole corpus (the old code re-shipped the whole
-// parent payload once per sub-unit, i.e. ≥ 2× corpus here) — and stay
-// byte-identical to the golden.
-func TestElasticSplitShipSliced(t *testing.T) {
-	c := spillN(t, 4)
-	var full int64
-	for k := range c.Manifest.Partitions {
-		blocks, err := ReadPartitionBlocks(c, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full += int64(len(blocks))
-	}
-	s := New(c,
-		&Loopback{Server: &Server{}, Label: "w0"},
-		&Loopback{Server: &Server{}, Label: "w1"},
-	)
-	s.ShipBlocks = true
-	s.SplitFactor = 0.5
-	s.SpeculateAfter = 5 * time.Second
-	s.Logf = t.Logf
-	got, err := s.RunAll(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareToGolden(t, "elastic-split-sliced", got)
-	if n := s.Stats.Splits.Load(); n != 4 {
-		t.Fatalf("%d partitions split, want all 4", n)
-	}
-	shipped := s.Stats.ShippedBytes.Load()
-	if shipped == 0 || shipped >= full {
-		t.Fatalf("split run shipped %d bytes against a %d-byte corpus; sub-units must ship compressed slices, not parent payloads", shipped, full)
 	}
 }

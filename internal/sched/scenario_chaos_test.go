@@ -78,8 +78,8 @@ func compareReports(t *testing.T, label string, got, want []*analysis.Report) {
 // TestElasticScenarioChaosMatrix extends the chaos matrix to scenario
 // corpora: the spam-flood (transformed moderation shock) and
 // seq-gap-storm (stress-config) corpora run remote under worker death,
-// stragglers, speculation, and splitting — in both shipping modes —
-// and must stay byte-identical to the local one-worker golden.
+// stragglers, stealing and speculation — in both shipping modes — and
+// must stay byte-identical to the local one-worker golden.
 func TestElasticScenarioChaosMatrix(t *testing.T) {
 	for _, name := range []string{"spam-flood", "seq-gap-storm"} {
 		s, ok := scenario.Get(name)
@@ -95,7 +95,6 @@ func TestElasticScenarioChaosMatrix(t *testing.T) {
 			sc := sched.New(c, dying, slow)
 			sc.ShipBlocks = ship
 			sc.SpeculateAfter = 60 * time.Millisecond
-			sc.SplitFactor = 0.5
 			sc.Logf = t.Logf
 			got, err := sc.RunAll(2)
 			if err != nil {

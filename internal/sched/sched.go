@@ -14,15 +14,13 @@
 // — and the folded output is byte-identical to the local out-of-core
 // run at any worker count.
 //
-// Placement is elastic (elastic.go): evaluation units sit in one
-// deterministically-ordered pull queue that every healthy worker
-// claims from, so a fast worker drains a slow worker's backlog (work
-// stealing) instead of idling behind a static round-robin assignment.
-// Idle workers speculatively re-execute straggling in-flight units —
-// the first valid result wins, and a late duplicate is cross-checked
-// byte-for-byte against it. Partitions whose record totals are far
-// above the median split into contiguous sub-ranges that evaluate
-// independently and fold back into the unsplit partition state. In
+// Placement is elastic (elastic.go): each partition is exactly one
+// evaluation unit, and the units sit in one deterministically-ordered
+// pull queue that every healthy worker claims from, so a fast worker
+// drains a slow worker's backlog (work stealing) instead of idling
+// behind a static round-robin assignment. Idle workers speculatively
+// re-execute straggling in-flight units — the first valid result wins,
+// and a late duplicate is cross-checked byte-for-byte against it. In
 // ship-blocks mode workers keep a content-addressed BlockCache of
 // shipped payloads (cache.go) keyed by manifest fingerprint, so a
 // warm re-run sends key references instead of block bytes, and the
@@ -42,6 +40,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -161,20 +160,12 @@ type Scheduler struct {
 	// idle worker re-executes it speculatively. 0 picks a threshold
 	// automatically (3× the mean completed evaluation, floored so fast
 	// fleets never speculate on healthy evals); negative disables
-	// speculation, as does NoSpeculate.
+	// speculation.
 	SpeculateAfter time.Duration
-	// NoSpeculate disables speculative re-execution of stragglers.
-	NoSpeculate bool
-	// SplitFactor is the skew threshold for dynamic partition
-	// splitting: a partition whose record total exceeds this multiple
-	// of the median partition evaluates as contiguous sub-ranges. 0
-	// means DefaultSplitFactor; negative disables splitting.
-	SplitFactor float64
 	// NoPrefetch disables pushing the next unit's block payload into a
-	// worker's cache while its current evaluation runs.
+	// worker's cache while its current evaluation runs. A prefetched
+	// payload is held to the same bound as an inline ship.
 	NoPrefetch bool
-	// PrefetchBytes bounds one prefetched payload (0 = the ship bound).
-	PrefetchBytes int
 
 	// Stats counts this run's placement events; read after RunAll.
 	Stats RunStats
@@ -201,8 +192,6 @@ type RunStats struct {
 	// many finished first, SpecDuplicates how many late duplicates
 	// were cross-checked against an accepted result.
 	Steals, Speculations, SpecWins, SpecDuplicates atomic.Int64
-	// Splits counts partitions that evaluated as sub-ranges.
-	Splits atomic.Int64
 	// CacheHits counts evaluations served from a worker's block cache
 	// (no payload shipped); CacheMisses counts key references the
 	// worker could not serve (the payload re-shipped inline);
@@ -215,9 +204,9 @@ type RunStats struct {
 
 // Summary renders the counters on one line.
 func (st *RunStats) Summary() string {
-	return fmt.Sprintf("evals=%d local=%d steals=%d speculations=%d spec-wins=%d spec-dups=%d splits=%d cache-hits=%d cache-misses=%d prefetches=%d shipped-bytes=%d",
+	return fmt.Sprintf("evals=%d local=%d steals=%d speculations=%d spec-wins=%d spec-dups=%d cache-hits=%d cache-misses=%d prefetches=%d shipped-bytes=%d",
 		st.Evals.Load(), st.LocalEvals.Load(), st.Steals.Load(), st.Speculations.Load(),
-		st.SpecWins.Load(), st.SpecDuplicates.Load(), st.Splits.Load(),
+		st.SpecWins.Load(), st.SpecDuplicates.Load(),
 		st.CacheHits.Load(), st.CacheMisses.Load(), st.Prefetches.Load(), st.ShippedBytes.Load())
 }
 
@@ -241,12 +230,13 @@ func (s *Scheduler) logf(format string, args ...any) {
 }
 
 // event is the one structured diagnostics emitter: every placement
-// event logs as `sched: event=<kind> worker=<name> unit=<part.sub>`
-// plus a reason, so log consumers match on fields instead of prose.
-func (s *Scheduler) event(kind, worker string, id unitID, format string, args ...any) {
+// event logs as `sched: event=<kind> worker=<name> unit=<part>` plus
+// a reason, so log consumers match on fields instead of prose. A
+// negative part (a run-level event) logs as `unit=-`.
+func (s *Scheduler) event(kind, worker string, part int, format string, args ...any) {
 	unit := "-"
-	if id.part >= 0 {
-		unit = id.String()
+	if part >= 0 {
+		unit = strconv.Itoa(part)
 	}
 	s.logf("sched: event=%s worker=%s unit=%s: %s", kind, worker, unit, fmt.Sprintf(format, args...))
 }
@@ -309,8 +299,8 @@ func (s *Scheduler) maxShip() int {
 }
 
 // evalPartition places one partition through the run's elastic
-// machinery (elastic.go): its units join the shared pull queue and
-// the call blocks until every one resolves. The first registration
+// machinery (elastic.go): its unit joins the shared pull queue and
+// the call blocks until it resolves. The first registration
 // creates the run; the accumulator set and worker count are run-wide
 // (every partition of one MultiSource evaluation shares them).
 func (s *Scheduler) evalPartition(part int, accs []analysis.Accumulator, workers int) (*analysis.World, []analysis.Shard, *analysis.LabelTables, error) {

@@ -290,4 +290,39 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 			t.Errorf("%s: hostile request accepted", name)
 		}
 	}
+
+	// A scheduler that still splits partitions sends a row "range" and
+	// the sub-range's Base/Records. The worker ignores the unknown key
+	// and evaluates the whole partition, so the Records cross-check
+	// must reject the result instead of returning a sub-range's worth
+	// of wrong state.
+	c := spillN(t, 2)
+	blocks, err := ReadPartitionBlocks(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := c.Manifest.Partitions[0]
+	half := info.Records
+	half.Users, half.Posts, half.Labels = half.Users/2, half.Posts/2, half.Labels/2
+	stale, err := cbor.Marshal(&struct {
+		Version int                    `cbor:"v"`
+		Accs    []string               `cbor:"accs"`
+		Blocks  []byte                 `cbor:"blocks"`
+		Base    core.CollectionCounts  `cbor:"base"`
+		Records *core.CollectionCounts `cbor:"records"`
+		Range   map[string]any         `cbor:"range"`
+	}{
+		Version: ProtocolVersion,
+		Accs:    analysis.NewFullEngine().Fingerprint(),
+		Blocks:  blocks,
+		Base:    info.Base,
+		Records: &half,
+		Range:   map[string]any{"skip": core.CollectionCounts{}, "take": half, "facts": true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.EvalPartition(stale); err == nil || !strings.Contains(err.Error(), "manifest promises") {
+		t.Errorf("stale split request with a row range: err = %v, want the Records cross-check to reject it", err)
+	}
 }

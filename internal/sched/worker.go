@@ -78,17 +78,11 @@ type EvalRequest struct {
 	Workers int `cbor:"workers,omitempty"`
 	// CacheKey names the partition payload in the worker's block cache
 	// (elasticRun.unitKey: content hash or manifest fingerprint, plus
-	// sub-range and format).
+	// the format version).
 	// With inline Blocks it asks the worker to cache them after use;
 	// alone — no Blocks, no Store — it asks the worker to evaluate
 	// straight from its cache, answering CacheMissName when it can't.
 	CacheKey string `cbor:"cacheKey,omitempty"`
-	// Range, when set, restricts the evaluation to one contiguous
-	// per-collection row sub-range of the partition's blocks (dynamic
-	// partition splitting). Base and Records then describe the
-	// sub-range. Workers predating the field would evaluate the whole
-	// partition — and fail the Records cross-check, loudly.
-	Range *core.RowRange `cbor:"range,omitempty"`
 }
 
 // PutBlocksRequest is the putBlocks input: one partition's framed
@@ -259,7 +253,6 @@ func (s *Server) source(req *EvalRequest) (analysis.Source, error) {
 			},
 			Base:    req.Base,
 			Records: req.Records,
-			Clip:    req.Range,
 			Name:    "streamed blocks",
 		}, nil
 	case req.Store != "":
@@ -278,7 +271,6 @@ func (s *Server) source(req *EvalRequest) (analysis.Source, error) {
 			Open:    func() (*core.PartitionReader, error) { return c.OpenPartition(part) },
 			Base:    req.Base,
 			Records: req.Records,
-			Clip:    req.Range,
 			Name:    fmt.Sprintf("partition %d of %s", part, req.Store),
 		}, nil
 	case req.CacheKey != "":
@@ -298,7 +290,6 @@ func (s *Server) source(req *EvalRequest) (analysis.Source, error) {
 			},
 			Base:    req.Base,
 			Records: req.Records,
-			Clip:    req.Range,
 			Name:    fmt.Sprintf("cached blocks %s", req.CacheKey),
 		}, nil
 	default:
