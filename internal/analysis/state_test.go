@@ -138,6 +138,34 @@ func TestStateDeterministicEncoding(t *testing.T) {
 			t.Fatalf("partition %d state does not re-marshal to identical bytes", k)
 		}
 	}
+
+	// A partition held in memory and the same partition spilled to a
+	// store snapshot to identical bytes: the scheduler compares a local
+	// fallback's state with a remote worker's byte for byte.
+	parts, m = core.Split(ds, 3)
+	dir := t.TempDir()
+	if err := core.WriteCorpus(dir, parts, m); err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.OpenCorpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 4} {
+		for k, p := range parts {
+			mem, err := NewFullEngine().Workers(w).Snapshot(NewDatasetSourceAt(p, m.Partitions[k].Base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk, err := NewFullEngine().Workers(w).Snapshot(NewDiskSource(c, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mem, disk) {
+				t.Fatalf("workers=%d partition %d: in-memory state differs from the spilled partition's", w, k)
+			}
+		}
+	}
 }
 
 // TestStateEnvelopeRejections pins the envelope's validation: version
