@@ -153,10 +153,10 @@ func BenchmarkCommitEventDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineWorkers ablates the evaluation engine's traversal
-// sharding: the same single-pass evaluation at fixed worker counts,
-// isolating the merge/remap overhead from the work-sharing win the
-// FullEvaluation pair measures.
+// BenchmarkEngineWorkers ablates the evaluation engine's accumulator
+// groups: the same single-pass evaluation at fixed worker counts,
+// isolating the cost of fanning each block out to the groups from the
+// work-sharing win the FullEvaluation pair measures.
 func BenchmarkEngineWorkers(b *testing.B) {
 	ds := synth.Generate(synth.Config{Scale: 2000, Seed: 1})
 	for _, workers := range []int{1, 2, 4} {

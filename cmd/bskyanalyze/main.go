@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	bskyanalyze [-scale N] [-seed S] [-only T1,F12] [-parallel] [-workers N]
+//	bskyanalyze [-scale N] [-seed S] [-only T1,F12] [-workers N]
 //	bskyanalyze -partitions N [-partition-mode split|independent] [-plan]
 //	bskyanalyze -input seed=1,scale=1000 -input seed=2,scale=1000 ...
 //	bskyanalyze -follow [-snapshot-every N] [-partitions N]
@@ -13,15 +13,14 @@
 //	bskyanalyze -corpus DIR -workers-at loopback[:N]
 //	bskyanalyze -scenario NAME | -scenario list
 //
-// By default the evaluation runs through the single-pass engine
-// (analysis.RunAll), which shards the dataset traversal across
-// -workers workers (0 = autotuned from record counts) and streams
-// every record through all report accumulators at once.
-// -parallel=false falls back to the legacy one-pass-per-report path;
-// both render byte-identical output.
+// The evaluation runs through the single-pass engine (analysis.RunAll),
+// which streams every record block through all report accumulators at
+// once, split into -workers accumulator groups per partition (0 =
+// GOMAXPROCS, shared across partitions, at most one group per
+// accumulator).
 //
 // -partitions N evaluates the corpus as N partitions through the
-// two-level merge: per-partition sharded traversals, then a
+// two-level merge: per-partition traversals, then a
 // cross-partition fold of intern tables and shard state. In the
 // default split mode the partitions are row-range views of one
 // generated corpus and the output is byte-identical to the unsplit
@@ -95,8 +94,7 @@ func main() {
 	scale := flag.Int("scale", 1000, "downscaling factor vs. the paper's dataset")
 	seed := flag.Int64("seed", 2024, "generation seed")
 	only := flag.String("only", "", "comma-separated report IDs (e.g. T1,F12); empty = all")
-	parallel := flag.Bool("parallel", true, "evaluate in one sharded pass instead of per-report scans")
-	workers := flag.Int("workers", 0, "traversal workers per partition (0 = autotuned)")
+	workers := flag.Int("workers", 0, "accumulator groups per partition (0 = GOMAXPROCS shared across partitions, at most one per accumulator)")
 	follow := flag.Bool("follow", false, "consume the corpus as live record streams and print refreshed tables as snapshots arrive")
 	snapEvery := flag.Int("snapshot-every", 100_000, "records between streaming snapshots in -follow mode")
 	partitions := flag.Int("partitions", 1, "evaluate the corpus as N partitions through the two-level merge")
@@ -221,10 +219,8 @@ func main() {
 		if reports, err = analysis.RunAllPartitioned(parts, manifest, *workers); err != nil {
 			fatal(err)
 		}
-	case *parallel:
-		reports = analysis.RunAll(parts[0], *workers)
 	default:
-		reports = analysis.AllReports(parts[0])
+		reports = analysis.RunAll(parts[0], *workers)
 	}
 	print(reports)
 }

@@ -2,7 +2,7 @@
 // (DESIGN.md §9): it receives a partition — a store reference it can
 // open locally, or the partition's framed block bytes shipped inline —
 // runs the paper's full evaluation engine over it as one level-one
-// sharded traversal, and returns the serialized shard state for the
+// traversal, and returns the serialized shard state for the
 // scheduler's level-two fold.
 //
 // Usage:

@@ -723,7 +723,7 @@ func (section6Acc) MarshalShard(sh Shard) ([]byte, error) {
 		Labeled: int64(s.labeled), Multi: int64(s.multi),
 	}
 	// Trim the unseen tail (canonical form: by-id lengths depend on the
-	// worker-merge pattern, not on state); the columns stay paired.
+	// merge pattern, not on state); the columns stay paired.
 	n := len(w.FirstSrc)
 	for n > 0 && w.FirstSrc[n-1] == unseenSrc {
 		n--

@@ -775,7 +775,7 @@ func (figure11Acc) Merge(dst, src Shard, mc *MergeCtx) {
 	}
 	for ci, a := range s.creators {
 		// Partition-local creator indexes rebase into the merged user
-		// table (RemapUser is identity for worker and split merges).
+		// table (RemapUser is identity for split merges).
 		gci := mc.RemapUser(ci)
 		da := d.creators[gci]
 		if da == nil {

@@ -32,9 +32,9 @@ func NewDiskSource(c *core.Corpus, k int) *DiskSource {
 
 // Run implements Source: stream the partition's blocks through the
 // accumulator groups in file order. Blocks arrive exactly as
-// WritePartition laid them out — header + labeler announcements first,
-// then each collection in dataset order — which is the one-worker batch
-// traversal order the parity contract requires. render is ignored
+// WritePartition laid them out (core.DatasetBlocks) — header + labeler
+// announcements first, then each collection in dataset order — the
+// same sequence DatasetSource ingests from memory. render is ignored
 // (disk partitions snapshot only through MultiSource's coordinator,
 // like any other batch partition).
 func (src *DiskSource) Run(accs []Accumulator, workers int, _ RenderFunc) (*World, []Shard, *LabelTables, error) {

@@ -7,19 +7,24 @@
 // every report, wherever the corpus lives:
 //
 //	Accumulator  one report's computation: declares the collections it
-//	             consumes (Needs), allocates per-worker Shard state,
-//	             merges shards, renders Reports from merged state
+//	             consumes (Needs), allocates Shard state, merges
+//	             partition shards, renders Reports from merged state
 //	             (engine.go)
 //	Source       one corpus traversal: streams record blocks through
-//	             the registered accumulators and returns merged state.
-//	             Four implementations cover the execution modes —
-//	             DatasetSource   a materialized core.Dataset, sharded
-//	                             across workers over contiguous index
-//	                             ranges (source.go)
+//	             the registered accumulators and returns their state.
+//	             Every local source feeds one block ingest
+//	             (streamIngest, stream.go): blocks apply in order,
+//	             label metadata is interned once per block, and the
+//	             accumulators run in worker groups, each consuming the
+//	             block sequence in order. The sources differ only in
+//	             where the blocks come from —
+//	             DatasetSource   a materialized core.Dataset, cut into
+//	                             zero-copy blocks in the spilled
+//	                             partition layout (core.DatasetBlocks,
+//	                             source.go)
 //	             StreamSource    a live record stream (firehose +
 //	                             labeler subscriptions or a sequencer
-//	                             replay), parallel over accumulator
-//	                             groups, with stop-the-world snapshots
+//	                             replay), with stop-the-world snapshots
 //	                             (stream.go)
 //	             DiskSource      one partition of a disk-backed store,
 //	                             streamed block by block — out-of-core
@@ -41,12 +46,12 @@
 //	             paper's full evaluation is NewFullEngine, and RunAll /
 //	             RunAllPartitioned / RunAllDisk are its entry points
 //
-// Level one of the merge is within a partition (worker shards fold in
-// worker order); level two is across partitions (intern tables remap
-// into one corpus id space, partition-local user indexes rebase by the
-// manifest's bases, shard states fold in partition order). Between the
-// two levels sits the snapshot layer: every Accumulator serializes its
-// level-one-merged shard (MarshalShard/UnmarshalShard, DESIGN.md §9),
+// Level one of the merge is a partition's own ingest (one shard per
+// accumulator, one set of intern tables); level two is across
+// partitions (intern tables remap into one corpus id space,
+// partition-local user indexes rebase by the manifest's bases, shard
+// states fold in partition order). Between the two levels sits the
+// snapshot layer: every Accumulator serializes its level-one shard (MarshalShard/UnmarshalShard, DESIGN.md §9),
 // so the fold consumes wire state from a remote worker exactly as it
 // consumes in-process state.
 //

@@ -16,15 +16,20 @@ import (
 // state, multi-partition) are enumerated in doc.go.
 //
 // Determinism contract: for a fixed corpus the engine produces
-// byte-identical reports at any worker count, from either source.
-// Three rules make that hold — dataset shards cover contiguous index
-// ranges and are merged in shard order (so concatenated slice state
-// equals a sequential scan), shard state never sums floating point
-// across records (integer counters and ordered float slices only;
-// float math happens once at render), and every render sort carries a
-// total tie-break. Streams add a fourth: each collection's records
-// arrive in dataset order, and each accumulator consumes its streams
-// sequentially, so stream state equals a one-worker scan.
+// byte-identical reports at any worker count, from any source. Every
+// local source feeds one block ingest (streamIngest). Four rules make
+// that hold:
+//   - each collection's records arrive in dataset order, and each
+//     accumulator consumes its blocks sequentially: workers split the
+//     accumulators, never the records, so every shard equals a
+//     one-worker scan;
+//   - the feeder assigns label intern ids once per block, in
+//     first-occurrence order, and partition states fold in partition
+//     order;
+//   - shard state never sums floating point across records (integer
+//     counters and ordered float slices only; float math happens once
+//     at render);
+//   - every render sort carries a total tie-break.
 
 // Collection identifies one record stream of a corpus traversal.
 // Accumulators declare the streams they consume via Needs; the engine
@@ -44,10 +49,9 @@ const (
 
 // World is the render-time corpus context shared by every accumulator:
 // the scalar dataset facts, the labeler population, and the per-user
-// follower degrees that the feed-generator reports join against.
-// Batch runs derive it from the materialized Dataset; streaming runs
-// grow it append-only as header and record blocks arrive (so a
-// snapshot sees a consistent prefix of the corpus).
+// follower degrees that the feed-generator reports join against. The
+// ingest grows it append-only as header and record blocks arrive (so a
+// streaming snapshot sees a consistent prefix of the corpus).
 type World struct {
 	Scale                  int
 	WindowStart, WindowEnd time.Time
@@ -58,43 +62,18 @@ type World struct {
 	// their labeler's announcement.
 	Labelers []core.Labeler
 
-	// Record counts per collection (batch: dataset lengths; stream:
-	// records ingested so far).
+	// Record counts per collection: records ingested so far.
 	Users, Posts, Days, Labels, FeedGens, Domains, HandleUpdates int
 
-	// users aliases the materialized dataset (batch); followers is the
-	// append-only streaming equivalent, holding only the degree column.
-	users     []core.User
+	// followers is the append-only follower-degree column, one entry
+	// per user ingested so far.
 	followers []int32
-}
-
-// NewWorld derives the render context from a materialized dataset.
-func NewWorld(ds *core.Dataset) *World {
-	return &World{
-		Scale:         ds.Scale,
-		WindowStart:   ds.WindowStart,
-		WindowEnd:     ds.WindowEnd,
-		Firehose:      ds.Firehose,
-		NonBskyEvents: ds.NonBskyEvents,
-		Labelers:      ds.Labelers,
-		Users:         len(ds.Users),
-		Posts:         len(ds.Posts),
-		Days:          len(ds.Daily),
-		Labels:        len(ds.Labels),
-		FeedGens:      len(ds.FeedGens),
-		Domains:       len(ds.Domains),
-		HandleUpdates: len(ds.HandleUpdates),
-		users:         ds.Users,
-	}
 }
 
 // Followers reports the follower degree of user index i. A streaming
 // snapshot may render a feed-generator creator whose user record has
 // not arrived yet; those read as degree 0 until it does.
 func (w *World) Followers(i int) int {
-	if w.users != nil {
-		return w.users[i].Followers
-	}
 	if i < len(w.followers) {
 		return int(w.followers[i])
 	}
@@ -124,11 +103,11 @@ type LabelMeta struct {
 	RTSec float64
 }
 
-// LabelTables are the intern tables backing LabelMeta ids. Each batch
-// worker builds its own during traversal and the engine folds them
-// into one global table at merge time; a stream grows a single table
-// append-only. First-occurrence order is preserved either way, so the
-// merged tables are identical to a sequential scan's.
+// LabelTables are the intern tables backing LabelMeta ids. Each
+// partition's ingest grows one table append-only, and the level-two
+// merge folds partition tables into one corpus table in partition
+// order. First-occurrence order is preserved, so the merged tables are
+// identical to a sequential scan's.
 type LabelTables struct {
 	URIs      []string
 	Vals      []string
@@ -181,13 +160,14 @@ func (t *LabelTables) internExtraSrc(s string) int32 {
 
 // LabelChunk is one block of the label stream with its shared
 // per-record metadata. Meta[i] describes Labels[i]; NumURIs/NumVals
-// snapshot the feeding worker's intern-table sizes at dispatch time
-// (ids below those bounds are stable for the rest of the run).
+// snapshot the ingest's intern-table sizes at dispatch time (ids below
+// those bounds are stable for the rest of the run).
 //
-// In batch runs the chunk and its Meta slice are only valid for the
-// duration of the Shard.Labels call — the engine reuses the Meta
-// buffer for the next block. Accumulators that collect label data must
-// copy what they keep (ids are plain ints; copying them is the point).
+// The chunk and its Meta slice are only valid for the duration of the
+// Shard.Labels call; every accumulator group reads the same chunk.
+// Accumulators that collect label data must copy what they keep (ids
+// are plain ints; copying them is the point) and never retain the
+// chunk or alias its slices.
 type LabelChunk struct {
 	Labels  []core.Label
 	Meta    []LabelMeta
@@ -196,9 +176,8 @@ type LabelChunk struct {
 	Base    int
 }
 
-// MergeCtx carries the id remappings for folding one worker's — or,
-// in a partitioned run, one partition's — label-derived state into the
-// global id space. Remap slices are indexed by the source's local ids.
+// MergeCtx carries the id remappings for folding one partition's
+// label-derived state into the corpus id space. Remap slices are indexed by the source's local ids.
 type MergeCtx struct {
 	URIRemap []int32
 	ValRemap []int32
@@ -207,9 +186,9 @@ type MergeCtx struct {
 	NumVals  int
 	// Users offsets partition-local user indexes (Post.AuthorIdx /
 	// FeedGen.CreatorIdx captured in shard state) into the merged
-	// corpus index space. It is 0 for worker merges and for split
-	// partitions, whose indexes are corpus-global already; independent
-	// partition datasets carry their user base here.
+	// corpus index space. It is 0 for split partitions, whose indexes
+	// are corpus-global already; independent partition datasets carry
+	// their user base here.
 	Users int
 }
 
@@ -229,15 +208,15 @@ func (mc *MergeCtx) RemapSrc(id int32) int32 {
 	return mc.SrcRemap[-2-id]
 }
 
-// Shard is the per-worker state of one accumulator. The engine calls
+// Shard is one partition's state of one accumulator. The engine calls
 // the methods matching the accumulator's Needs mask with contiguous
-// record blocks; base is the block's global start index.
+// record blocks, in order; base is the block's global start index.
 type Shard interface {
 	Users(us []core.User, base int)
 	Posts(ps []core.Post, base int)
 	Days(days []core.DayActivity, base int)
-	// Labels must not retain c or c.Meta past the call: batch runs
-	// reuse the metadata buffer for the next block (see LabelChunk).
+	// Labels must not retain c or c.Meta past the call (see
+	// LabelChunk).
 	Labels(c *LabelChunk)
 	FeedGens(fs []core.FeedGen, base int)
 	Domains(doms []core.Domain, base int)
@@ -285,13 +264,14 @@ type Accumulator interface {
 	IDs() []string
 	// Needs is the mask of collections this accumulator consumes.
 	Needs() Collection
-	// NewShard allocates worker-local state. Streaming worlds may not
-	// know their final population sizes yet, so shards presize from w
-	// but must tolerate later growth (labeler indexes in particular).
+	// NewShard allocates partition-local state. The ingest allocates
+	// shards before it knows the final population sizes, so shards
+	// presize from w but must tolerate later growth (labeler indexes
+	// in particular).
 	NewShard(w *World) Shard
-	// Merge folds src into dst. Shards are merged in worker order; mc
-	// is nil when the accumulator consumes no labels or when only one
-	// worker ran.
+	// Merge folds partition state src into dst. The level-two merge
+	// folds partitions in partition order; mc carries src's id and
+	// user-index remapping.
 	Merge(dst, src Shard, mc *MergeCtx)
 	// Render produces the reports from merged state. t holds the
 	// global label intern tables (nil without ColLabels). Render must
@@ -310,10 +290,6 @@ type Accumulator interface {
 	UnmarshalShard(data []byte, b StateBounds) (Shard, error)
 }
 
-// blockSize bounds the records handed to each accumulator per call so
-// a block stays cache-resident while every accumulator visits it.
-const blockSize = 4096
-
 // Engine runs registered accumulators over a record source in one
 // traversal.
 type Engine struct {
@@ -324,10 +300,10 @@ type Engine struct {
 // NewEngine builds an engine over the given accumulators.
 func NewEngine(accs ...Accumulator) *Engine { return &Engine{accs: accs} }
 
-// Workers fixes the traversal worker count. 0 (the default) lets the
-// source autotune: dataset traversals pick from record counts (a small
-// corpus is cheaper to scan on one core than to merge across many),
-// streams from the accumulator count.
+// Workers fixes the number of accumulator groups each partition's
+// ingest runs on goroutines of their own. 0 (the default) means
+// min(GOMAXPROCS, #accumulators) on every source; a multi-partition
+// run divides GOMAXPROCS among its partitions.
 func (e *Engine) Workers(n int) *Engine {
 	e.workers = n
 	return e
@@ -351,8 +327,8 @@ func (e *Engine) Run(ds *core.Dataset) []*Report {
 }
 
 // RunSources traverses a set of partition sources as one corpus: each
-// partition runs level-one (its own sharded traversal and worker
-// merge), then the partition states fold through the cross-partition
+// partition runs level one (its own ingest), then the partition states
+// fold through the cross-partition
 // level-two merge (MultiSource).
 func (e *Engine) RunSources(srcs ...Source) ([]*Report, error) {
 	return e.RunSource(&MultiSource{Sources: srcs})
@@ -408,8 +384,8 @@ func NewFullEngine() *Engine {
 	)
 }
 
-// RunAll computes the full evaluation in one sharded pass with the
-// given worker count (0 = autotuned) and returns the reports in
+// RunAll computes the full evaluation in one pass with the given
+// worker count (0 = min(GOMAXPROCS, #accumulators)) and returns the reports in
 // canonical order. Output is byte-identical to AllReports at any
 // worker count.
 func RunAll(ds *core.Dataset, workers int) []*Report {
@@ -418,7 +394,7 @@ func RunAll(ds *core.Dataset, workers int) []*Report {
 }
 
 // RunAllPartitioned computes the full evaluation over a partitioned
-// corpus (per-partition sharded traversals, two-level merge) and
+// corpus (per-partition ingests, two-level merge) and
 // returns the reports in canonical order. For a split corpus the
 // output is byte-identical to RunAll over the unsplit dataset at any
 // partition count and worker count; m may be nil for single-corpus

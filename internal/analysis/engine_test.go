@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"runtime"
 	"testing"
 
-	"blueskies/internal/core"
 	"blueskies/internal/synth"
 )
 
@@ -75,29 +73,6 @@ func TestRunAllCanonicalOrder(t *testing.T) {
 		if r.ID != canonicalOrder[i] {
 			t.Fatalf("report %d = %s, want %s", i, r.ID, canonicalOrder[i])
 		}
-	}
-}
-
-// TestAutoWorkers pins the worker autotuning: small corpora scan on
-// one core (the merge/remap overhead dominates below
-// minRecordsPerWorker records — the BenchmarkEngineWorkers
-// regression), larger ones scale with record count up to GOMAXPROCS,
-// and only the collections someone registered for count.
-func TestAutoWorkers(t *testing.T) {
-	full := Collection(0)
-	for _, a := range NewFullEngine().accs {
-		full |= a.Needs()
-	}
-	if w := autoWorkers(ds, full); w != 1 {
-		t.Fatalf("autoWorkers on 1:1000 corpus = %d, want 1 (below %d records)", w, minRecordsPerWorker)
-	}
-	big := &core.Dataset{Posts: make([]core.Post, 3*minRecordsPerWorker)}
-	if w := autoWorkers(big, ColPosts); w != min(3, runtime.GOMAXPROCS(0)) {
-		t.Fatalf("autoWorkers on 3-share posts corpus = %d", w)
-	}
-	// The same corpus without a posts consumer counts zero records.
-	if w := autoWorkers(big, ColDomains); w != 1 {
-		t.Fatalf("autoWorkers without registered collections = %d, want 1", w)
 	}
 }
 

@@ -26,9 +26,9 @@ func TestBuildLabelMetaFusedParity(t *testing.T) {
 		t.Fatalf("no parallel dictionary view (%d ids, %d labels)", len(db.LabelSrc), len(dec.Labels))
 	}
 	plainT := newLabelTables()
-	want := buildLabelMeta(ds.Labelers, dec.Labels, nil, plainT, didIdx)
+	want := buildLabelMeta(ds.Labelers, dec.Labels, plainT, didIdx)
 	fusedT := newLabelTables()
-	got := buildLabelMetaFused(ds.Labelers, dec.Labels, db, nil, fusedT, didIdx)
+	got := buildLabelMetaFused(ds.Labelers, dec.Labels, db, fusedT, didIdx)
 	if !reflect.DeepEqual(got, want) {
 		for i := range want {
 			if got[i] != want[i] {

@@ -11,11 +11,11 @@ import (
 
 // MultiSource runs the registered accumulators over a set of partition
 // Sources and folds their states with a two-level merge: level one is
-// each partition's own shard merge (workers within a partition, exactly
-// the single-dataset semantics), level two remaps every partition's
-// URI/Val/Src intern tables — and, for independent datasets, its
-// partition-local user indexes — into the corpus id space and folds the
-// partition states in partition order. Because split partitions cover
+// each partition's own ingest (exactly the single-dataset semantics),
+// level two remaps every partition's URI/Val/Src intern tables — and,
+// for independent datasets, its partition-local user indexes — into
+// the corpus id space and folds the partition states in partition
+// order. Because split partitions cover
 // contiguous row ranges and fold in order, the two-level merge produces
 // exactly the state of a flat single-dataset traversal: RunAll over
 // {1 partition} is byte-identical to an unpartitioned run, and an n-way
@@ -27,10 +27,11 @@ import (
 // partitions — labels are attributed by labeler index), and a
 // concatenated follower-degree column in partition order.
 //
-// Batch partitions (DatasetSource) run concurrently, capped at
-// GOMAXPROCS; disk partitions (DiskSource — out-of-core block streams
-// from a partition store) run under the same cap, each resident as one
-// decoded block plus accumulator state. Stream partitions
+// Batch partitions (DatasetSource) and disk partitions (DiskSource —
+// out-of-core block streams from a partition store) run concurrently,
+// capped at GOMAXPROCS, each on its share of the accumulator groups;
+// a disk partition stays resident as one decoded block plus
+// accumulator state. Stream partitions
 // (StreamSource — one firehose/labeler stream pair per partition, each
 // with its own sequence-gap tracking)
 // ingest concurrently; when SnapshotEvery > 0 their ingest loops
@@ -120,19 +121,9 @@ func (ms *MultiSource) Run(accs []Accumulator, workers int, render RenderFunc) (
 
 	streamWorkers := workers
 	if streamWorkers <= 0 {
-		// Stream and disk partitions fan out over accumulator groups;
-		// share the machine instead of oversubscribing n× GOMAXPROCS.
+		// Local partitions fan out over accumulator groups; share the
+		// machine instead of oversubscribing n× GOMAXPROCS.
 		streamWorkers = max(1, runtime.GOMAXPROCS(0)/n)
-	}
-	if workers <= 0 && n > 1 {
-		// Same sharing rule for concurrently-traversing batch
-		// partitions: autotune still picks fewer workers for small
-		// partitions, but never more than the machine's fair share.
-		for _, sub := range ms.Sources {
-			if d, ok := sub.(*DatasetSource); ok && d.maxAuto == 0 {
-				d.maxAuto = max(1, runtime.GOMAXPROCS(0)/n)
-			}
-		}
 	}
 
 	var coord *snapCoordinator
@@ -199,8 +190,9 @@ func (ms *MultiSource) Run(accs []Accumulator, workers int, render RenderFunc) (
 				return
 			}
 			w := workers
-			if _, disk := sub.(*DiskSource); disk && w <= 0 {
-				w = streamWorkers // accumulator groups, not data shards
+			switch sub.(type) {
+			case *DatasetSource, *DiskSource:
+				w = streamWorkers // this partition's share of the groups
 			}
 			world, shards, tables, err := sub.Run(accs, w, nil)
 			if err != nil {
@@ -300,6 +292,35 @@ func (ms *MultiSource) fold(accs []Accumulator, states []*partState) (*World, []
 	return world, merged, tables, nil
 }
 
+// foldTables folds src's intern tables into dst, returning the global
+// tables and the remapping for src's local ids. A nil or empty src
+// remaps as a no-op (empty remap slices — nothing holds its ids), and
+// a nil dst adopts a fresh table so later partitions still fold into a
+// well-defined global id space.
+func foldTables(dst, src *LabelTables) (*LabelTables, *MergeCtx) {
+	if dst == nil {
+		dst = newLabelTables()
+	}
+	if src == nil {
+		return dst, &MergeCtx{}
+	}
+	mc := &MergeCtx{
+		URIRemap: make([]int32, len(src.URIs)),
+		ValRemap: make([]int32, len(src.Vals)),
+		SrcRemap: make([]int32, len(src.ExtraSrcs)),
+	}
+	for i, s := range src.URIs {
+		mc.URIRemap[i] = dst.internURI(s)
+	}
+	for i, s := range src.Vals {
+		mc.ValRemap[i] = dst.internVal(s)
+	}
+	for i, s := range src.ExtraSrcs {
+		mc.SrcRemap[i] = dst.internExtraSrc(s)
+	}
+	return dst, mc
+}
+
 // mergeWorlds synthesizes the corpus render context from partition
 // worlds: summed record counts and firehose counters, min/max window,
 // the deduplicated labeler enumeration, and the follower-degree
@@ -348,13 +369,7 @@ func mergeWorlds(worlds []*World, idxs []int, m *core.Manifest) (*World, []int, 
 		out.FeedGens += w.FeedGens
 		out.Domains += w.Domains
 		out.HandleUpdates += w.HandleUpdates
-		if w.users != nil {
-			for i := range w.users {
-				out.followers = append(out.followers, int32(w.users[i].Followers))
-			}
-		} else {
-			out.followers = append(out.followers, w.followers...)
-		}
+		out.followers = append(out.followers, w.followers...)
 	}
 	if m != nil && m.Scale != 0 {
 		out.Scale = m.Scale

@@ -115,14 +115,7 @@ func MarshalPartitionState(accs []Accumulator, w *World, shards []Shard, t *Labe
 		Block: block,
 		Users: w.Users, Posts: w.Posts, Days: w.Days, Labels: w.Labels,
 		FeedGens: w.FeedGens, Domains: w.Domains, HandleUpdates: w.HandleUpdates,
-	}
-	if w.users != nil {
-		ws.Followers = make([]int32, len(w.users))
-		for i := range w.users {
-			ws.Followers[i] = int32(w.users[i].Followers)
-		}
-	} else {
-		ws.Followers = w.followers
+		Followers: w.followers,
 	}
 	env := &wirePartitionState{
 		Version: StateVersion,

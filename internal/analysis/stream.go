@@ -15,15 +15,14 @@ import (
 // as every accumulator has seen them, so memory never holds a second
 // copy of the corpus.
 //
-// Concurrency model: a batch run parallelizes over data (contiguous
-// index ranges per worker); a stream cannot, because record ranges are
-// only discovered as they arrive. StreamSource parallelizes over
-// accumulators instead: the registered accumulators are partitioned
-// into worker groups, each group consumes the block sequence in order
-// on its own goroutine, and the feeder interns label metadata once
-// before fan-out. Every accumulator therefore sees exactly the
-// one-worker batch traversal of its collections, which is what makes
-// the final snapshot byte-identical to RunAll at any worker count.
+// Concurrency model: record ranges are only discovered as they arrive,
+// so the ingest parallelizes over accumulators, not data: the
+// registered accumulators are partitioned into worker groups, each
+// group consumes the block sequence in order on its own goroutine, and
+// the feeder interns label metadata once before fan-out. Every
+// accumulator therefore sees exactly the one-worker traversal of its
+// collections, which is what makes the final snapshot byte-identical
+// to RunAll at any worker count.
 //
 // Snapshot semantics: snapshots are stop-the-world — the feeder sends
 // a barrier through every group channel, waits until all in-flight
@@ -31,9 +30,11 @@ import (
 // Renders never mutate shard state, and the intern tables and DID
 // index only grow, so a snapshot is a consistent prefix of the stream.
 //
-// The ingestion machinery lives in streamIngest so a partitioned run
-// (MultiSource) can drive one ingest per partition stream and merge
-// their quiescent states into corpus-wide snapshots.
+// The ingestion machinery lives in streamIngest, which every local
+// source drives (DatasetSource, ReaderSource and DiskSource too), and
+// which lets a partitioned run (MultiSource) drive one ingest per
+// partition stream and merge their quiescent states into corpus-wide
+// snapshots.
 type StreamSource struct {
 	// Blocks is the record stream; closing it ends the run.
 	Blocks <-chan core.RecordBlock
@@ -78,7 +79,7 @@ type streamIngest struct {
 	records   int
 }
 
-// newStreamIngest sizes the worker groups. workers ≤ 0 autotunes to
+// newStreamIngest sizes the worker groups. workers ≤ 0 means
 // min(GOMAXPROCS, #accumulators).
 func newStreamIngest(accs []Accumulator, workers int, base core.CollectionCounts) *streamIngest {
 	need := Collection(0)
@@ -234,13 +235,13 @@ func (si *streamIngest) applyColumnar(b core.RecordBlock, db *core.DictBlock) in
 		world.Labels += len(ls)
 		if need&ColLabels != 0 {
 			// Enrich once in the feeder; groups share the chunk
-			// read-only. Unlike the batch path the Meta buffer is
-			// per-block, since groups consume asynchronously.
+			// read-only. The Meta buffer is per-block, since groups
+			// consume asynchronously.
 			chunk := &LabelChunk{Labels: ls, Base: base}
 			if db != nil && len(db.LabelSrc) == len(ls) {
-				chunk.Meta = buildLabelMetaFused(world.Labelers, ls, db, nil, si.tables, si.didIdx)
+				chunk.Meta = buildLabelMetaFused(world.Labelers, ls, db, si.tables, si.didIdx)
 			} else {
-				chunk.Meta = buildLabelMeta(world.Labelers, ls, nil, si.tables, si.didIdx)
+				chunk.Meta = buildLabelMeta(world.Labelers, ls, si.tables, si.didIdx)
 			}
 			chunk.NumURIs = len(si.tables.URIs)
 			chunk.NumVals = len(si.tables.Vals)
@@ -291,7 +292,7 @@ func (si *streamIngest) finish() {
 	si.done.Wait()
 }
 
-// Run implements Source. workers ≤ 0 autotunes to
+// Run implements Source. workers ≤ 0 means
 // min(GOMAXPROCS, #accumulators).
 func (src *StreamSource) Run(accs []Accumulator, workers int, render RenderFunc) (*World, []Shard, *LabelTables, error) {
 	si := newStreamIngest(accs, workers, src.Base)

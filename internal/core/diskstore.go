@@ -11,6 +11,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"iter"
 	"os"
 	"path/filepath"
 )
@@ -267,12 +268,12 @@ func (pw *PartitionWriter) Close() error {
 	return pw.err
 }
 
-// WritePartition streams ds to one block file: a header + labeler
-// announcement block first (stream consumers need the labeler DID
-// index before the first label), then each collection in dataset order,
-// blockRecords records per block (≤ 0 uses DiskBlockRecords). The
-// partition is written incrementally — no second copy of the dataset
-// is ever held.
+// WritePartition streams ds to one block file in the DatasetBlocks
+// layout: a header + labeler announcement block first (stream
+// consumers need the labeler DID index before the first label), then
+// each collection in dataset order, blockRecords records per block
+// (≤ 0 uses DiskBlockRecords). The partition is written incrementally
+// — no second copy of the dataset is ever held.
 func WritePartition(path string, ds *Dataset, blockRecords int) error {
 	_, err := WritePartitionContent(path, ds, blockRecords)
 	return err
@@ -297,44 +298,60 @@ func WritePartitionContent(path string, ds *Dataset, blockRecords int) (string, 
 }
 
 func writeDatasetBlocks(pw *PartitionWriter, ds *Dataset, blockRecords int) error {
-	if blockRecords <= 0 {
-		blockRecords = DiskBlockRecords
-	}
-	if err := pw.WriteBlock(&RecordBlock{
-		Header: &StreamHeader{
-			Scale:         ds.Scale,
-			WindowStart:   ds.WindowStart,
-			WindowEnd:     ds.WindowEnd,
-			Firehose:      ds.Firehose,
-			NonBskyEvents: ds.NonBskyEvents,
-		},
-		Labelers: ds.Labelers,
-	}); err != nil {
-		return err
-	}
-	// One chunk loop over every collection, in canonical dataset order —
-	// the collection list lives here and nowhere else, so adding a
-	// collection to Dataset means adding exactly one row.
-	collections := []struct {
-		n     int
-		block func(lo, hi int) *RecordBlock
-	}{
-		{len(ds.Users), func(lo, hi int) *RecordBlock { return &RecordBlock{Users: ds.Users[lo:hi]} }},
-		{len(ds.Posts), func(lo, hi int) *RecordBlock { return &RecordBlock{Posts: ds.Posts[lo:hi]} }},
-		{len(ds.Daily), func(lo, hi int) *RecordBlock { return &RecordBlock{Days: ds.Daily[lo:hi]} }},
-		{len(ds.Labels), func(lo, hi int) *RecordBlock { return &RecordBlock{Labels: ds.Labels[lo:hi]} }},
-		{len(ds.FeedGens), func(lo, hi int) *RecordBlock { return &RecordBlock{FeedGens: ds.FeedGens[lo:hi]} }},
-		{len(ds.Domains), func(lo, hi int) *RecordBlock { return &RecordBlock{Domains: ds.Domains[lo:hi]} }},
-		{len(ds.HandleUpdates), func(lo, hi int) *RecordBlock { return &RecordBlock{HandleUpdates: ds.HandleUpdates[lo:hi]} }},
-	}
-	for _, col := range collections {
-		for lo := 0; lo < col.n; lo += blockRecords {
-			if err := pw.WriteBlock(col.block(lo, min(lo+blockRecords, col.n))); err != nil {
-				return err
-			}
+	for b := range DatasetBlocks(ds, blockRecords) {
+		if err := pw.WriteBlock(b); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// DatasetBlocks yields ds as the block sequence of a spilled partition:
+// a header + labeler announcement block first, then each collection in
+// dataset order, blockRecords records per block (≤ 0 uses
+// DiskBlockRecords). The blocks are zero-copy views of ds. Spilling
+// writes this sequence and in-memory evaluation ingests it, so both
+// see the same layout.
+func DatasetBlocks(ds *Dataset, blockRecords int) iter.Seq[*RecordBlock] {
+	if blockRecords <= 0 {
+		blockRecords = DiskBlockRecords
+	}
+	return func(yield func(*RecordBlock) bool) {
+		if !yield(&RecordBlock{
+			Header: &StreamHeader{
+				Scale:         ds.Scale,
+				WindowStart:   ds.WindowStart,
+				WindowEnd:     ds.WindowEnd,
+				Firehose:      ds.Firehose,
+				NonBskyEvents: ds.NonBskyEvents,
+			},
+			Labelers: ds.Labelers,
+		}) {
+			return
+		}
+		// One chunk loop over every collection, in canonical dataset
+		// order — the collection list lives here and nowhere else, so
+		// adding a collection to Dataset means adding exactly one row.
+		collections := []struct {
+			n     int
+			block func(lo, hi int) *RecordBlock
+		}{
+			{len(ds.Users), func(lo, hi int) *RecordBlock { return &RecordBlock{Users: ds.Users[lo:hi]} }},
+			{len(ds.Posts), func(lo, hi int) *RecordBlock { return &RecordBlock{Posts: ds.Posts[lo:hi]} }},
+			{len(ds.Daily), func(lo, hi int) *RecordBlock { return &RecordBlock{Days: ds.Daily[lo:hi]} }},
+			{len(ds.Labels), func(lo, hi int) *RecordBlock { return &RecordBlock{Labels: ds.Labels[lo:hi]} }},
+			{len(ds.FeedGens), func(lo, hi int) *RecordBlock { return &RecordBlock{FeedGens: ds.FeedGens[lo:hi]} }},
+			{len(ds.Domains), func(lo, hi int) *RecordBlock { return &RecordBlock{Domains: ds.Domains[lo:hi]} }},
+			{len(ds.HandleUpdates), func(lo, hi int) *RecordBlock { return &RecordBlock{HandleUpdates: ds.HandleUpdates[lo:hi]} }},
+		}
+		for _, col := range collections {
+			for lo := 0; lo < col.n; lo += blockRecords {
+				if !yield(col.block(lo, min(lo+blockRecords, col.n))) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // PartitionReader streams record blocks back out of one block file.

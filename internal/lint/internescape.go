@@ -6,11 +6,11 @@ import (
 )
 
 // InternEscape flags label-chunk aliases that outlive the Shard.Labels
-// call. A LabelChunk and its Meta/Labels slices are per-block buffers:
-// batch workers reuse the Meta slice for the next block, and the
-// interned ids inside it are local to the feeding worker's tables —
-// MergeCtx remaps them when shards fold, so a raw id held past the
-// call points into the wrong table after the remap. Accumulators must
+// call. A LabelChunk and its Meta/Labels slices are per-block buffers
+// shared read-only by every accumulator group, and the interned ids
+// inside them are local to the partition's tables — MergeCtx remaps
+// them when partition shards fold, so a raw id held past the call
+// points into the wrong table after the remap. Accumulators must
 // copy the elements they keep (ids are plain ints; copying them is
 // the point — see LabelChunk's doc in internal/analysis).
 //
@@ -27,7 +27,7 @@ import (
 var InternEscape = &Analyzer{
 	Name: "internescape",
 	Doc: "flag stores that retain a *LabelChunk or alias its Meta/Labels slices beyond the " +
-		"Shard.Labels call; the buffers are reused per block and their interned ids are only " +
+		"Shard.Labels call; the buffers are per-block and their interned ids are only " +
 		"valid until MergeCtx remaps them — copy elements instead",
 	Run: runInternEscape,
 }
@@ -119,7 +119,7 @@ func reportAlias(pass *Pass, chunk *types.Named, e ast.Expr) {
 	if !ok || pass.testFile(e.Pos()) || pass.Suppressed(e.Pos(), "internescape") {
 		return
 	}
-	pass.Reportf(e.Pos(), "%s aliases a per-block label chunk beyond the Labels call: the Meta buffer is reused for the next block and its interned ids are remapped at merge (MergeCtx); copy the elements you keep, or audit with //lint:internescape", what)
+	pass.Reportf(e.Pos(), "%s aliases a per-block label chunk beyond the Labels call: the Meta buffer is per-block and its interned ids are remapped at merge (MergeCtx); copy the elements you keep, or audit with //lint:internescape", what)
 }
 
 // chunkAlias reports whether e aliases chunk memory: the chunk

@@ -34,7 +34,7 @@
 //	             dispatch that gate them (§11).
 //	internescape — no store may retain a *LabelChunk or alias its
 //	             Meta/Labels slices past the Shard.Labels call: the
-//	             buffers are reused per block and their interned ids
+//	             buffers are per-block and their interned ids
 //	             are only valid until MergeCtx remaps them into the
 //	             global id space. Copy elements; ids are plain ints.
 //

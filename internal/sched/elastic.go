@@ -21,9 +21,10 @@ import (
 // ordered by partition index — not an assignment. Each worker runs one
 // claim loop: take the first queued unit this worker hasn't already
 // failed, evaluate it, deliver, repeat. Fast workers therefore drain
-// slow workers' backlogs automatically (work stealing is the default
-// behavior, not a special case), and a worker that dies simply stops
-// claiming: its in-flight unit requeues for the survivors.
+// what slow workers have not reached, with no reassignment, and a
+// worker that dies simply stops claiming: its in-flight unit requeues
+// for the survivors. A steal is only a claim that overrides a
+// delay-scheduling hold (see claim).
 //
 // Idle workers with nothing left to claim speculate: they re-execute the
 // longest-in-flight unit once it has run past the speculation threshold.
@@ -71,7 +72,6 @@ type unitRes struct {
 type unit struct {
 	part int
 	info core.PartitionInfo // corpus-global base + records
-	home int                // part % workers — steal accounting only
 
 	queued   bool
 	local    bool
@@ -199,9 +199,6 @@ func (r *elasticRun) registerLocked(part int) *unit {
 	if r.failed {
 		u.closeLocked()
 		return u
-	}
-	if nw := len(r.s.Workers); nw > 0 {
-		u.home = part % nw
 	}
 	r.order = insertByPart(r.order, u)
 	r.queue = insertByPart(r.queue, u)
@@ -428,8 +425,8 @@ func (r *elasticRun) deactivate(wi int) {
 	}
 }
 
-// claim picks this worker's next action: a queued unit (steal-by-
-// default pull, preferring units whose payload this worker already
+// claim picks this worker's next action: a queued unit (pulled in
+// partition order, preferring units whose payload this worker already
 // caches), a speculative duplicate of a straggling in-flight unit, a
 // timed wait, or loop exit when this worker can never help again.
 func (r *elasticRun) claim(wi int) (u *unit, spec bool, wait time.Duration, exit bool) {
@@ -449,7 +446,7 @@ func (r *elasticRun) claim(wi int) (u *unit, spec bool, wait time.Duration, exit
 			}
 		}
 	}
-	held := false
+	held, stolen := false, false
 	if pick == nil {
 		// Delay scheduling: a unit cached on another healthy worker
 		// ships zero bytes there but a full payload here, so leave it
@@ -466,11 +463,12 @@ func (r *elasticRun) claim(wi int) (u *unit, spec bool, wait time.Duration, exit
 			if cand.failedOn[wi] {
 				continue
 			}
-			if !graceOver && (!described || r.cachedElsewhereLocked(cand, wi)) {
+			elsewhere := r.cachedElsewhereLocked(cand, wi)
+			if !graceOver && (!described || elsewhere) {
 				held = true
 				continue
 			}
-			pick = cand
+			pick, stolen = cand, elsewhere
 			break
 		}
 	}
@@ -479,9 +477,12 @@ func (r *elasticRun) claim(wi int) (u *unit, spec bool, wait time.Duration, exit
 		r.queue = removeUnit(r.queue, pick)
 		pick.queued = false
 		r.startLocked(pick, wi)
-		if pick.home != wi {
+		if stolen {
+			// The grace overrode a delay-scheduling hold: this worker
+			// takes a unit a healthy peer holds cached (or is being
+			// prefetched there), paying the ship bytes for latency.
 			r.s.Stats.Steals.Add(1)
-			r.s.event("steal", r.s.Workers[wi].Name(), pick.part, "pulled from worker %d's backlog", pick.home)
+			r.s.event("steal", r.s.Workers[wi].Name(), pick.part, "claimed past the steal grace; cached on another worker")
 		}
 		return pick, false, 0, false
 	}

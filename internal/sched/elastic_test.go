@@ -600,6 +600,31 @@ func TestElasticStatsSummary(t *testing.T) {
 	}
 }
 
+// TestElasticHealthyRunNoSteals pins the steal counter: a steal is a
+// claim that overrides a delay-scheduling hold, so a healthy run whose
+// steal grace cannot expire reports none, whatever order the workers
+// happen to claim the partitions in.
+func TestElasticHealthyRunNoSteals(t *testing.T) {
+	c := spillN(t, 4)
+	var workers []Worker
+	for _, name := range []string{"w0", "w1"} {
+		cache, _ := NewBlockCache("", 1<<30)
+		workers = append(workers, &Loopback{Server: &Server{Cache: cache}, Label: name})
+	}
+	s := New(c, workers...)
+	s.ShipBlocks = true
+	s.SpeculateAfter = time.Minute
+	s.Logf = t.Logf
+	got, err := s.RunAll(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareToGolden(t, "elastic-healthy", got)
+	if n := s.Stats.Steals.Load(); n != 0 {
+		t.Fatalf("healthy run reported %d steals, want 0 (%s)", n, s.Stats.Summary())
+	}
+}
+
 // ---- elastic scheduler: content-hash cache keys ----
 
 // TestElasticCrossCorpusCacheSharing pins the content-hash cache

@@ -7,7 +7,7 @@
 // Loopback, or a cmd/bskyworker daemon over the XRPC transport) either
 // as a store reference the worker opens locally or as its framed
 // block-file bytes shipped inline. The worker runs the engine's
-// level-one sharded traversal and returns serialized shard state
+// level-one traversal and returns serialized shard state
 // (analysis.MarshalPartitionState); the scheduler decodes it into a
 // Source, so partitions evaluated remotely compose under
 // analysis.MultiSource exactly like disk, batch, and stream partitions
@@ -17,7 +17,7 @@
 // Placement is elastic (elastic.go): each partition is exactly one
 // evaluation unit, and the units sit in one deterministically-ordered
 // pull queue that every healthy worker claims from, so a fast worker
-// drains a slow worker's backlog (work stealing) instead of idling
+// takes the units a slow worker has not reached instead of idling
 // behind a static round-robin assignment. Idle workers speculatively
 // re-execute straggling in-flight units — the first valid result wins,
 // and a late duplicate is cross-checked byte-for-byte against it. In
@@ -187,7 +187,10 @@ type RunStats struct {
 	// Evals counts remote evaluations accepted; LocalEvals counts
 	// units evaluated by the local out-of-core fallback.
 	Evals, LocalEvals atomic.Int64
-	// Steals counts units claimed by a worker other than their home;
+	// Steals counts claims that overrode a delay-scheduling hold: the
+	// steal grace expired and the claimer took a unit cached on (or
+	// being prefetched to) another healthy worker, so a healthy run
+	// reports 0.
 	// Speculations counts speculative duplicate launches, SpecWins how
 	// many finished first, SpecDuplicates how many late duplicates
 	// were cross-checked against an accepted result.

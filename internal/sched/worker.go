@@ -20,7 +20,7 @@ import (
 // The worker half of the remote-evaluation protocol (DESIGN.md §9).
 // A worker serves one XRPC procedure: it receives a partition — either
 // a store reference it can open locally or the partition's framed
-// block bytes shipped inline — runs the engine's level-one sharded
+// block bytes shipped inline — runs the engine's level-one
 // traversal over it, and returns the serialized shard state for the
 // scheduler's level-two fold. cmd/bskyworker wraps Server in a daemon;
 // Loopback executes the same handler in-process (both request and
