@@ -51,9 +51,10 @@
 // partitions (intern tables remap into one corpus id space,
 // partition-local user indexes rebase by the manifest's bases, shard
 // states fold in partition order). Between the two levels sits the
-// snapshot layer: every Accumulator serializes its level-one shard (MarshalShard/UnmarshalShard, DESIGN.md §9),
-// so the fold consumes wire state from a remote worker exactly as it
-// consumes in-process state.
+// snapshot layer: every Accumulator serializes its level-one shard
+// (MarshalShard/UnmarshalShard, DESIGN.md §9), so the fold consumes
+// wire state from a remote worker exactly as it consumes in-process
+// state.
 //
 // # Determinism contract
 //

@@ -177,7 +177,8 @@ type LabelChunk struct {
 }
 
 // MergeCtx carries the id remappings for folding one partition's
-// label-derived state into the corpus id space. Remap slices are indexed by the source's local ids.
+// label-derived state into the corpus id space. Remap slices are
+// indexed by the source's local ids.
 type MergeCtx struct {
 	URIRemap []int32
 	ValRemap []int32
@@ -328,8 +329,7 @@ func (e *Engine) Run(ds *core.Dataset) []*Report {
 
 // RunSources traverses a set of partition sources as one corpus: each
 // partition runs level one (its own ingest), then the partition states
-// fold through the cross-partition
-// level-two merge (MultiSource).
+// fold through the cross-partition level-two merge (MultiSource).
 func (e *Engine) RunSources(srcs ...Source) ([]*Report, error) {
 	return e.RunSource(&MultiSource{Sources: srcs})
 }
@@ -385,17 +385,17 @@ func NewFullEngine() *Engine {
 }
 
 // RunAll computes the full evaluation in one pass with the given
-// worker count (0 = min(GOMAXPROCS, #accumulators)) and returns the reports in
-// canonical order. Output is byte-identical to AllReports at any
-// worker count.
+// worker count (0 = min(GOMAXPROCS, #accumulators)) and returns the
+// reports in canonical order. Output is byte-identical to AllReports
+// at any worker count.
 func RunAll(ds *core.Dataset, workers int) []*Report {
 	reports := NewFullEngine().Workers(workers).Run(ds)
 	return canonicalize(reports)
 }
 
 // RunAllPartitioned computes the full evaluation over a partitioned
-// corpus (per-partition ingests, two-level merge) and
-// returns the reports in canonical order. For a split corpus the
+// corpus (per-partition ingests, two-level merge) and returns the
+// reports in canonical order. For a split corpus the
 // output is byte-identical to RunAll over the unsplit dataset at any
 // partition count and worker count; m may be nil for single-corpus
 // row-range partitions.

@@ -12,7 +12,10 @@ import (
 // intern tables must produce byte-identical metadata AND tables to the
 // per-record path — same ids, same first-occurrence order.
 func TestBuildLabelMetaFusedParity(t *testing.T) {
-	didIdx := ds.LabelerIndex()
+	didIdx := make(map[string]int32, len(ds.Labelers))
+	for i, lb := range ds.Labelers {
+		didIdx[lb.DID] = int32(i)
+	}
 	src := &core.RecordBlock{Labelers: ds.Labelers, Labels: ds.Labels}
 	enc, err := core.MarshalBlock(src)
 	if err != nil {

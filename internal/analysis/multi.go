@@ -15,11 +15,11 @@ import (
 // level two remaps every partition's URI/Val/Src intern tables — and,
 // for independent datasets, its partition-local user indexes — into
 // the corpus id space and folds the partition states in partition
-// order. Because split partitions cover
-// contiguous row ranges and fold in order, the two-level merge produces
-// exactly the state of a flat single-dataset traversal: RunAll over
-// {1 partition} is byte-identical to an unpartitioned run, and an n-way
-// split of a corpus matches the unsplit golden at any worker count.
+// order. Because split partitions cover contiguous row ranges and fold
+// in order, the two-level merge produces exactly the state of a flat
+// single-dataset traversal: RunAll over {1 partition} is
+// byte-identical to an unpartitioned run, and an n-way split of a
+// corpus matches the unsplit golden at any worker count.
 //
 // The render context (World) is synthesized from the merged partition
 // worlds: summed record counts and firehose counters, min/max windows,
@@ -31,13 +31,13 @@ import (
 // out-of-core block streams from a partition store) run concurrently,
 // capped at GOMAXPROCS, each on its share of the accumulator groups;
 // a disk partition stays resident as one decoded block plus
-// accumulator state. Stream partitions
-// (StreamSource — one firehose/labeler stream pair per partition, each
-// with its own sequence-gap tracking)
-// ingest concurrently; when SnapshotEvery > 0 their ingest loops
-// coordinate merged stop-the-world snapshots: every stream pauses at a
-// block boundary, the quiescent partition states fold non-destructively
-// into a corpus snapshot, and ingestion resumes. Partition sub-sources'
+// accumulator state. Stream partitions (StreamSource — one
+// firehose/labeler stream pair per partition, each with its own
+// sequence-gap tracking) ingest concurrently; when SnapshotEvery > 0
+// their ingest loops coordinate merged stop-the-world snapshots: every
+// stream pauses at a block boundary, the quiescent partition states
+// fold non-destructively into a corpus snapshot, and ingestion
+// resumes. Partition sub-sources'
 // own SnapshotEvery/OnSnapshot are ignored under MultiSource. A batch
 // partition still traversing when a snapshot fires is excluded from
 // that snapshot (it joins once complete); the final fold always covers

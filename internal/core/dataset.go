@@ -218,19 +218,6 @@ func (d *Dataset) UserByDID(did string) (int, bool) {
 	return -1, false
 }
 
-// LabelerIndex maps labeler DIDs to their Labelers index. Consumers
-// that join the label stream against the labeler population (the
-// analysis engine resolves every Label.Src through it) should build it
-// once per traversal instead of chasing DIDs through string maps per
-// record.
-func (d *Dataset) LabelerIndex() map[string]int32 {
-	m := make(map[string]int32, len(d.Labelers))
-	for i := range d.Labelers {
-		m[d.Labelers[i].DID] = int32(i)
-	}
-	return m
-}
-
 // TotalOps sums all daily repo operations.
 func (d *Dataset) TotalOps() (posts, likes, reposts, follows, blocks int64) {
 	for _, day := range d.Daily {
