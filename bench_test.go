@@ -90,7 +90,7 @@ func BenchmarkFullEvaluationSequential(b *testing.B) {
 }
 
 // BenchmarkFullEvaluationParallel runs the same evaluation through the
-// single-pass engine (analysis.RunAll): one sharded traversal streams
+// single-pass engine (analysis.RunAll): one traversal streams
 // every record through all report accumulators at once. Output is
 // byte-identical to the sequential path (asserted by
 // TestFullEvaluationPathsAgree and the engine's own golden tests).

@@ -12,7 +12,8 @@
 //
 // -store-root restricts store-reference requests to directories under
 // DIR; without it any local store path is served. -workers fixes the
-// traversal worker count per evaluation (0 = autotuned per request).
+// accumulator-group count per evaluation (0 = min(GOMAXPROCS,
+// #accumulators)).
 // -cache-dir enables the content-addressed block cache (DESIGN.md §12):
 // shipped partition blocks are kept on disk keyed by manifest
 // fingerprint, and the describe response advertises the held keys so a
@@ -42,7 +43,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":8737", "address to serve the worker XRPC API on")
 	storeRoot := flag.String("store-root", "", "restrict store-reference requests to stores under this directory (empty = any local path)")
-	workers := flag.Int("workers", 0, "traversal workers per evaluation (0 = autotuned)")
+	workers := flag.Int("workers", 0, "accumulator groups per evaluation (0 = min(GOMAXPROCS, #accumulators))")
 	cacheDir := flag.String("cache-dir", "", "directory for the content-addressed block cache (empty = caching off)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "block cache size cap in bytes (0 = default)")
 	flag.Parse()

@@ -188,8 +188,9 @@ func (s *Scenario) Spill(dir string) (*core.Manifest, error) {
 }
 
 // Run executes the scenario end-to-end with the given engine worker
-// count (0 = autotuned): baseline batch evaluation, transform, golden
-// batch evaluation, then a faulted drain-mode stream replay. The
+// count (0 = min(GOMAXPROCS, #accumulators)): baseline batch
+// evaluation, transform, golden batch evaluation, then a faulted
+// drain-mode stream replay. The
 // returned error is infrastructural (replay emit failure); the stream
 // consumer's loud failures land in Result.StreamErr, where Assert
 // judges them.

@@ -120,8 +120,9 @@ type Server struct {
 	// StoreRoot, when set, restricts store-reference requests to
 	// directories under it; block-shipping requests are unaffected.
 	StoreRoot string
-	// Workers is the per-evaluation traversal worker count requests
-	// inherit when they don't set their own (0 = autotune).
+	// Workers is the per-evaluation accumulator-group count requests
+	// inherit when they don't set their own (0 = min(GOMAXPROCS,
+	// #accumulators)).
 	Workers int
 	// Cache, when set, is the worker's content-addressed block cache:
 	// shipped payloads carrying a CacheKey are stored after use,
